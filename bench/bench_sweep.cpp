@@ -3,7 +3,11 @@
 // sweep, single threaded, on the grid shapes that exercise both fast paths:
 //
 //   uniform   plains (travel-time-table inner loop, scenario-uniform fuels);
-//   dem       hills (per-cell behavior field + fuel mosaic).
+//   dem       hills (per-cell travel-time rows built from a once-per-fuel
+//             Rothermel sweep state + fuel mosaic). Interior DEM cells
+//             relax through the same AVX2 kernel as uniform ones, so the
+//             hills-dem simd ratio times a real kernel, diluted by the
+//             per-cell row builds that both arms share.
 //
 // Every timed pair is first checked for bit-identical ignition maps —
 // heap-vs-dial AND scalar-vs-simd — and the whole default campaign catalog

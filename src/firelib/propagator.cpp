@@ -57,6 +57,11 @@ constexpr double kSqrt2 = 1.41421356237309504880;
 
 constexpr std::int32_t kNilEntry = -1;
 
+// Per-cell travel-row states of the DEM fast path.
+constexpr std::uint8_t kRowUnbuilt = 0;
+constexpr std::uint8_t kRowSpreads = 1;
+constexpr std::uint8_t kRowNoSpread = 2;
+
 // ---------------------------------------------------------------------------
 // Sweep queues. Both disciplines expose push(time, cell) + drain(relax) and
 // produce bit-identical ignition maps: the sweep's result is the unique fixed
@@ -283,8 +288,8 @@ void PropagationWorkspace::prefault(int rows, int cols) {
   else
     times_.fill(kNeverIgnited);
   cell_epoch_.assign(cells, 0);
-  cell_behavior_.assign(cells, FireBehavior{});
-  cell_behavior_ready_.assign(cells, 0);
+  cell_travel_.assign(cells, TravelRow{});
+  cell_row_state_.assign(cells, kRowUnbuilt);
 
   // Queue storage. The heap and dial arenas are capacity-only in steady
   // state, so commit their pages with a throwaway fill, then clear — the
@@ -449,6 +454,76 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
     }
   };
 
+  // Fast paths: every popped cell relaxes through an 8-direction
+  // travel-time row (arrival = top.time + row[k]; a direction the fuel
+  // does not spread toward holds kNeverIgnited, which no finite horizon
+  // admits). Uniform topography shares one row per fuel model; per-cell
+  // topography builds one row per cell. `row_of` returns the popped
+  // cell's row, or null when the cell does not spread.
+  //
+  // Runtime-dispatched relax kernel: interior cells take the AVX2 8-lane
+  // kernel when the --simd mode resolves to it; border cells (and every
+  // cell under scalar) run the retained scalar loop. Surviving lanes are
+  // applied in ascending-k order, so stores and pushes are sequenced
+  // exactly like the scalar loop's — bit-identical maps AND identical
+  // push order, under both queue disciplines (the dial's bucket drains
+  // feed whole frontier batches through this same kernel).
+  const bool vector_relax = simd_isa_ == simd::Isa::kAvx2;
+  const NeighbourOffsets offsets = NeighbourOffsets::for_cols(cols);
+  const auto relax_rows = [&](auto&& row_of) {
+    sweep_with([&](double time, std::size_t cell_idx, auto& queue) {
+      const int r =
+          static_cast<int>(cell_idx / static_cast<std::size_t>(cols));
+      const int c =
+          static_cast<int>(cell_idx % static_cast<std::size_t>(cols));
+      const double* tt = row_of(cell_idx, r, c);
+      if (!tt) return;
+
+      if (vector_relax && r > 0 && r + 1 < rows && c > 0 && c + 1 < cols) {
+        alignas(32) double arrivals[8];
+        unsigned admit =
+            relax8_candidates_avx2(tt, t, fuel, cell_idx, offsets, time,
+                                   horizon_min, arrivals);
+        while (admit != 0) {
+          const unsigned k =
+              static_cast<unsigned>(std::countr_zero(admit));
+          admit &= admit - 1;
+          const std::size_t nidx =
+              cell_idx + static_cast<std::size_t>(
+                             static_cast<std::ptrdiff_t>(offsets.off[k]));
+          t[nidx] = arrivals[k];
+          queue.push(arrivals[k], nidx);
+        }
+        return;
+      }
+
+      for (std::size_t k = 0; k < kEightNeighbours.size(); ++k) {
+        const int nr = r + kEightNeighbours[k].row;
+        const int nc = c + kEightNeighbours[k].col;
+        if (nr < 0 || nr >= rows || nc < 0 || nc >= cols) continue;
+        const std::size_t nidx = static_cast<std::size_t>(nr) *
+                                     static_cast<std::size_t>(cols) +
+                                 static_cast<std::size_t>(nc);
+        // Without a fuel map every cell shares the (burnable, or row_of
+        // would have bailed) scenario model — no per-neighbour probe.
+        if (fuel && fuel[nidx] == 0) continue;
+        const double arrival = time + tt[k];
+        if (arrival < t[nidx] && arrival <= horizon_min) {
+          t[nidx] = arrival;
+          queue.push(arrival, nidx);
+        }
+      }
+    });
+  };
+  // Directional travel times of one behavior: minutes to cross to each
+  // 8-neighbour (step / rate), kNeverIgnited where it does not spread.
+  const auto fill_row = [&](const FireBehavior& behavior, double* row) {
+    for (std::size_t k = 0; k < 8; ++k) {
+      const double rate = behavior.spread_rate_at(kNeighbourAzimuth[k]);
+      row[k] = rate > 0.0 ? step_ft[k] / rate : kNeverIgnited;
+    }
+  };
+
   if (reference_sweep_) {
     // Pre-optimization inner loop: fire behavior and elliptical spread-rate
     // trig evaluated per popped cell. Kept as the bit-identical oracle the
@@ -501,9 +576,7 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
   } else if (uniform) {
     // Fast path, uniform topography: behavior depends only on the fuel
     // model, so each model's eight directional travel times are computed
-    // once per sweep and the inner loop is pure table lookups —
-    // arrival = top.time + travel_time[fuel][k]. A direction the model does
-    // not spread toward holds kNeverIgnited, which no finite horizon admits.
+    // once per sweep and the inner loop is pure table lookups.
     //
     // The rows are memoized across sweeps: they are a pure function of the
     // eight non-model Table-I params, the cell size and the spread model, so
@@ -519,7 +592,9 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
       workspace.tt_model_ = model_;
       workspace.tt_valid_ = true;
     }
-    auto travel_row = [&](int cell_fuel) -> const std::array<double, 8>* {
+    relax_rows([&](std::size_t cell_idx, int, int) -> const double* {
+      const int cell_fuel =
+          fuel ? static_cast<int>(fuel[cell_idx]) : scenario.model;
       if (cell_fuel <= 0) return nullptr;
       auto idx = static_cast<std::size_t>(cell_fuel);
       if (!workspace.by_model_ready_[idx]) {
@@ -527,117 +602,51 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
                      units::slope_degrees_to_ratio(scenario.slope),
                      std::fmod(scenario.aspect + 180.0, 360.0)};
         workspace.by_model_[idx] = model_->behavior(cell_fuel, moisture, ws);
-        for (std::size_t k = 0; k < 8; ++k) {
-          const double rate =
-              workspace.by_model_[idx].spread_rate_at(kNeighbourAzimuth[k]);
-          workspace.travel_time_[idx][k] =
-              rate > 0.0 ? step_ft[k] / rate : kNeverIgnited;
-        }
+        fill_row(workspace.by_model_[idx],
+                 workspace.travel_time_[idx].data());
         workspace.by_model_ready_[idx] = true;
         ++counters.tt_rows_built;
       }
       if (workspace.by_model_[idx].spread_rate_max <= 0.0) return nullptr;
-      return &workspace.travel_time_[idx];
-    };
-
-    // Runtime-dispatched relax kernel: interior cells take the AVX2 8-lane
-    // kernel when the --simd mode resolves to it; border cells (and every
-    // cell under scalar) run the retained scalar loop. Surviving lanes are
-    // applied in ascending-k order, so stores and pushes are sequenced
-    // exactly like the scalar loop's — bit-identical maps AND identical
-    // push order, under both queue disciplines (the dial's bucket drains
-    // feed whole frontier batches through this same kernel).
-    const bool vector_relax = simd_isa_ == simd::Isa::kAvx2;
-    const NeighbourOffsets offsets = NeighbourOffsets::for_cols(cols);
-
-    sweep_with([&](double time, std::size_t cell_idx, auto& queue) {
-      const int r = static_cast<int>(cell_idx / static_cast<std::size_t>(cols));
-      const int c = static_cast<int>(cell_idx % static_cast<std::size_t>(cols));
-      const auto* tt = travel_row(fuel ? static_cast<int>(fuel[cell_idx])
-                                       : scenario.model);
-      if (!tt) return;
-
-      if (vector_relax && r > 0 && r + 1 < rows && c > 0 && c + 1 < cols) {
-        alignas(32) double arrivals[8];
-        unsigned admit =
-            relax8_candidates_avx2(tt->data(), t, fuel, cell_idx, offsets,
-                                   time, horizon_min, arrivals);
-        while (admit != 0) {
-          const unsigned k =
-              static_cast<unsigned>(std::countr_zero(admit));
-          admit &= admit - 1;
-          const std::size_t nidx =
-              cell_idx + static_cast<std::size_t>(
-                             static_cast<std::ptrdiff_t>(offsets.off[k]));
-          t[nidx] = arrivals[k];
-          queue.push(arrivals[k], nidx);
-        }
-        return;
-      }
-
-      for (std::size_t k = 0; k < kEightNeighbours.size(); ++k) {
-        const int nr = r + kEightNeighbours[k].row;
-        const int nc = c + kEightNeighbours[k].col;
-        if (nr < 0 || nr >= rows || nc < 0 || nc >= cols) continue;
-        const std::size_t nidx = static_cast<std::size_t>(nr) *
-                                     static_cast<std::size_t>(cols) +
-                                 static_cast<std::size_t>(nc);
-        // Without a fuel map every cell shares the (burnable, or travel_row
-        // would have bailed) scenario model — no per-neighbour probe needed.
-        if (fuel && fuel[nidx] == 0) continue;
-        const double arrival = time + (*tt)[k];
-        if (arrival < t[nidx] && arrival <= horizon_min) {
-          t[nidx] = arrival;
-          queue.push(arrival, nidx);
-        }
-      }
+      return workspace.travel_time_[idx].data();
     });
   } else {
-    // Fast path, per-cell topography: behavior may differ per cell, so it is
-    // computed at most once per cell per sweep into the workspace's per-cell
-    // field; fuel probes read the flat SoA slab directly.
-    if (workspace.cell_behavior_.size() != cells)
-      workspace.cell_behavior_.resize(cells);
-    workspace.cell_behavior_ready_.assign(cells, 0);
-    FireBehavior* cell_behavior = workspace.cell_behavior_.data();
-    std::uint8_t* behavior_ready = workspace.cell_behavior_ready_.data();
+    // Fast path, per-cell topography: the part of the behavior that depends
+    // only on (fuel, moisture, wind speed) is built once per fuel model per
+    // sweep; each cell runs only the slope/wind tail, at its first pop,
+    // straight into its travel-time row.
+    std::array<FuelSweepState, 14> states;
+    std::array<bool, 14> state_ready{};
+    workspace.cell_row_state_.assign(cells, kRowUnbuilt);
+    if (workspace.cell_travel_.size() != cells)
+      workspace.cell_travel_.resize(cells);
+    std::uint8_t* row_state = workspace.cell_row_state_.data();
+    PropagationWorkspace::TravelRow* cell_rows =
+        workspace.cell_travel_.data();
 
-    sweep_with([&](double time, std::size_t cell_idx, auto& queue) {
-      const int r = static_cast<int>(cell_idx / static_cast<std::size_t>(cols));
-      const int c = static_cast<int>(cell_idx % static_cast<std::size_t>(cols));
-      if (!behavior_ready[cell_idx]) {
+    relax_rows([&](std::size_t cell_idx, int r, int c) -> const double* {
+      if (row_state[cell_idx] == kRowUnbuilt) {
+        row_state[cell_idx] = kRowNoSpread;
         const int cell_fuel =
             fuel ? static_cast<int>(fuel[cell_idx]) : scenario.model;
-        if (cell_fuel <= 0) {
-          cell_behavior[cell_idx] = FireBehavior{};  // unburnable
-        } else {
-          WindSlope ws{
-              wind_fpm, scenario.wind_dir,
+        if (cell_fuel > 0) {
+          auto idx = static_cast<std::size_t>(cell_fuel);
+          if (!state_ready[idx]) {
+            states[idx] = model_->sweep_state(cell_fuel, moisture, wind_fpm);
+            state_ready[idx] = true;
+          }
+          const FireBehavior behavior = compute_cell_behavior(
+              states[idx], scenario.wind_dir,
               units::slope_degrees_to_ratio(env.slope_deg_at(r, c, scenario)),
-              std::fmod(env.aspect_deg_at(r, c, scenario) + 180.0, 360.0)};
-          cell_behavior[cell_idx] = model_->behavior(cell_fuel, moisture, ws);
-        }
-        behavior_ready[cell_idx] = 1;
-      }
-      const FireBehavior& behavior = cell_behavior[cell_idx];
-      if (behavior.spread_rate_max <= 0.0) return;
-
-      for (std::size_t k = 0; k < kEightNeighbours.size(); ++k) {
-        const int nr = r + kEightNeighbours[k].row;
-        const int nc = c + kEightNeighbours[k].col;
-        if (nr < 0 || nr >= rows || nc < 0 || nc >= cols) continue;
-        const std::size_t nidx = static_cast<std::size_t>(nr) *
-                                     static_cast<std::size_t>(cols) +
-                                 static_cast<std::size_t>(nc);
-        if (fuel ? fuel[nidx] == 0 : scenario.model <= 0) continue;
-        const double rate = behavior.spread_rate_at(kNeighbourAzimuth[k]);
-        if (rate <= 0.0) continue;
-        const double arrival = time + step_ft[k] / rate;
-        if (arrival < t[nidx] && arrival <= horizon_min) {
-          t[nidx] = arrival;
-          queue.push(arrival, nidx);
+              std::fmod(env.aspect_deg_at(r, c, scenario) + 180.0, 360.0));
+          if (behavior.spread_rate_max > 0.0) {
+            fill_row(behavior, cell_rows[cell_idx].data());
+            row_state[cell_idx] = kRowSpreads;
+          }
         }
       }
+      return row_state[cell_idx] == kRowSpreads ? cell_rows[cell_idx].data()
+                                                : nullptr;
     });
   }
 

@@ -7,6 +7,7 @@
 // kNeverIgnited (+infinity).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -51,12 +52,13 @@ enum class SweepQueue { kHeap, kDial };
 ///
 /// Hot per-cell state is kept in cache-line-aligned structure-of-arrays
 /// slabs (AlignedVector) so the uniform and DEM fast paths walk contiguous
-/// aligned memory:
+/// aligned memory. Both fast paths relax a popped cell through a 64-byte
+/// row of eight directional travel times (arrival = top.time + row[k]):
 ///  - cell_epoch_: per-cell push epoch, the dial queue's staleness check;
-///  - cell_behavior_ / cell_behavior_ready_: DEM runs' lazily-filled
-///    per-cell FireBehavior field;
-///  - travel_time_: 14x8 per-model directional travel times for uniform
-///    topography (arrival = top.time + travel_time_[fuel][k]).
+///  - travel_time_: 14x8 per-model rows for uniform topography;
+///  - cell_travel_ / cell_row_state_: DEM runs' per-cell rows, built at a
+///    cell's first pop from a once-per-fuel FuelSweepState plus the cell's
+///    slope tail.
 /// Fuel codes are read as a flat slab too, straight from the environment's
 /// grid (every Grid buffer is cache-line aligned) — no per-sweep copy.
 class PropagationWorkspace {
@@ -74,13 +76,17 @@ class PropagationWorkspace {
   const IgnitionMap& last_map() const { return times_; }
 
   /// Size and write through every slab a rows x cols sweep will touch
-  /// (times, epochs, dial buckets and arena, heap, DEM behavior fields), so
+  /// (times, epochs, dial buckets and arena, heap, DEM travel rows), so
   /// the backing pages are committed from the calling thread. NUMA-aware
   /// placement calls this from the pinned owning worker at startup: under
   /// Linux's default first-touch policy all hot memory then lives on the
   /// worker's node. Results are unaffected — every slab is (re-)initialized
   /// by the sweep exactly as if it had grown lazily.
   void prefault(int rows, int cols);
+
+  /// Minutes to cross to each 8-neighbour (kNeverIgnited: no spread).
+  using TravelRow = std::array<double, 8>;
+  static_assert(sizeof(TravelRow) == kCacheLineBytes);
 
   /// Queue entry types (public so the sweep-queue policies in propagator.cpp
   /// can name them; the storage itself stays private).
@@ -134,11 +140,12 @@ class PropagationWorkspace {
   /// topography (kNeverIgnited when the model does not spread that way).
   /// Cache-line aligned so each 64-byte row feeds the AVX2 relax kernel's
   /// aligned loads (relax_kernel.hpp relies on this).
-  alignas(kCacheLineBytes) std::array<std::array<double, 8>, 14>
-      travel_time_{};
-  /// DEM runs: per-cell behavior cache, valid where cell_behavior_ready_.
-  AlignedVector<FireBehavior> cell_behavior_;
-  AlignedVector<std::uint8_t> cell_behavior_ready_;
+  alignas(kCacheLineBytes) std::array<TravelRow, 14> travel_time_{};
+  /// DEM runs: per-cell directional travel times, built at a cell's first
+  /// pop (cell_row_state_ says whether a row is built and spreads). One
+  /// 64-byte row per cell, so every row is aligned for the relax kernel.
+  AlignedVector<TravelRow> cell_travel_;
+  AlignedVector<std::uint8_t> cell_row_state_;
 };
 
 class FirePropagator {
@@ -185,12 +192,12 @@ class FirePropagator {
   void set_sweep_queue(SweepQueue queue) { queue_ = queue; }
   SweepQueue sweep_queue() const { return queue_; }
 
-  /// Select the relax kernel (default simd::Mode::kAuto): the
-  /// uniform-topography inner loop runs the AVX2 8-lane kernel when the
-  /// mode resolves to it, the scalar oracle otherwise. Bit-identical either
-  /// way (relax_kernel.hpp); requesting avx2 on a host without it falls
-  /// back to scalar. The reference sweep and the DEM path (per-direction
-  /// elliptical trig, not table lookups) always run scalar.
+  /// Select the relax kernel (default simd::Mode::kAuto): the fast paths'
+  /// inner loop (uniform and DEM alike, interior cells) runs the AVX2
+  /// 8-lane kernel when the mode resolves to it, the scalar oracle
+  /// otherwise. Bit-identical either way (relax_kernel.hpp); requesting
+  /// avx2 on a host without it falls back to scalar. Border cells and the
+  /// reference sweep always run scalar.
   void set_simd_mode(simd::Mode mode) {
     simd_mode_ = mode;
     simd_isa_ = simd::resolve(mode);

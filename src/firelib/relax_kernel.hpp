@@ -1,19 +1,20 @@
-// 8-neighbour relax microkernel for the uniform-topography sweep.
+// 8-neighbour relax microkernel for the fast sweep paths.
 //
-// The uniform fast path's inner step is eight independent lanes of
+// The fast paths' inner step is eight independent lanes of
 //
-//   arrival_k = top.time + travel_time[fuel][k]
+//   arrival_k = top.time + travel_time[k]
 //   admit_k   = fuel[n_k] != 0 && arrival_k < times[n_k]
 //               && arrival_k <= horizon
 //
-// over cache-line-aligned SoA slabs (PR 3/4 shaped the data exactly for
-// this). The kernels below evaluate all eight lanes at once and hand the
-// caller an admission bitmask plus the eight arrival times; the caller
-// applies the surviving lanes in ascending-k order, so stores and queue
-// pushes happen in exactly the scalar loop's order. Both kernels perform the
-// same IEEE additions and ordered comparisons on the same operands, so the
-// mask and arrivals are bit-identical — the scalar kernel is the retained
-// oracle, property-tested against the AVX2 one.
+// over cache-line-aligned SoA slabs, where travel_time is the popped
+// cell's row: its fuel model's row on uniform topography, its own row on
+// per-cell (DEM) topography. The kernels below evaluate all eight lanes at
+// once and hand the caller an admission bitmask plus the eight arrival
+// times; the caller applies the surviving lanes in ascending-k order, so
+// stores and queue pushes happen in exactly the scalar loop's order. Both
+// kernels perform the same IEEE additions and ordered comparisons on the
+// same operands, so the mask and arrivals are bit-identical — the scalar
+// kernel is the retained oracle, property-tested against the AVX2 one.
 //
 // The AVX2 kernel is compiled with a per-function target attribute, so this
 // header builds without -mavx2 and the binary stays runnable on any x86-64:
@@ -75,7 +76,8 @@ inline unsigned relax8_candidates_scalar(const double* travel_time,
 /// two vector adds produce the arrivals, and ordered compares against the
 /// neighbour times and the horizon fold into one admission mask. The
 /// travel-time row is loaded with aligned loads — PropagationWorkspace
-/// stores it in a 64-byte-aligned slab (one 64-byte row per fuel model).
+/// stores rows in 64-byte-aligned slabs (one 64-byte row per fuel model or
+/// per DEM cell).
 /// Same-lane IEEE arithmetic as the scalar kernel, bit for bit.
 __attribute__((target("avx2,fma"))) inline unsigned relax8_candidates_avx2(
     const double* travel_time, const double* times, const std::uint8_t* fuel,

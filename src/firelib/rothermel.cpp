@@ -20,6 +20,17 @@ struct CategoryAccum {
 
 double azimuth_radians(double deg) { return units::degrees_to_radians(deg); }
 
+double particle_moisture(const FuelParticle& p, const MoistureSet& moisture) {
+  switch (p.cls) {
+    case ParticleClass::kDead1Hr: return moisture.m1;
+    case ParticleClass::kDead10Hr: return moisture.m10;
+    case ParticleClass::kDead100Hr: return moisture.m100;
+    case ParticleClass::kLiveHerb: return moisture.mherb;
+    case ParticleClass::kLiveWoody: return moisture.mwood;
+  }
+  return 0.0;
+}
+
 }  // namespace
 
 double FireBehavior::spread_rate_at(double deg) const {
@@ -138,34 +149,26 @@ FuelBedIntermediates compute_fuel_bed(const FuelModel& model) {
   return bed;
 }
 
-FireBehavior compute_fire_behavior(const FuelModel& model,
-                                   const FuelBedIntermediates& bed,
-                                   const MoistureSet& moisture,
-                                   const WindSlope& ws) {
-  FireBehavior out;
-  if (!bed.burnable) return out;
+FuelSweepState compute_fuel_sweep_state(const FuelModel& model,
+                                        const FuelBedIntermediates& bed,
+                                        const MoistureSet& moisture,
+                                        double wind_speed_fpm) {
+  FuelSweepState state;
+  if (!bed.burnable) return state;
 
   ESSNS_REQUIRE(moisture.m1 >= 0 && moisture.m10 >= 0 && moisture.m100 >= 0 &&
                     moisture.mherb >= 0 && moisture.mwood >= 0,
                 "moistures must be non-negative fractions");
-  ESSNS_REQUIRE(ws.wind_speed_fpm >= 0.0, "wind speed must be non-negative");
-  ESSNS_REQUIRE(ws.slope_ratio >= 0.0, "slope ratio must be non-negative");
+  ESSNS_REQUIRE(wind_speed_fpm >= 0.0, "wind speed must be non-negative");
+  state.burnable = true;
 
   // --- Category moistures (surface-area weighted within category). ---
-  CategoryAccum dummy;
   double dead_area = 0.0, live_area = 0.0;
   double dead_moisture = 0.0, live_moisture = 0.0;
   double fine_dead_moisture_load = 0.0, fine_dead_load = 0.0;
   for (const FuelParticle& p : model.particles) {
     const double area = p.load * p.savr / p.density;
-    double m = 0.0;
-    switch (p.cls) {
-      case ParticleClass::kDead1Hr: m = moisture.m1; break;
-      case ParticleClass::kDead10Hr: m = moisture.m10; break;
-      case ParticleClass::kDead100Hr: m = moisture.m100; break;
-      case ParticleClass::kLiveHerb: m = moisture.mherb; break;
-      case ParticleClass::kLiveWoody: m = moisture.mwood; break;
-    }
+    const double m = particle_moisture(p, moisture);
     if (is_dead(p.cls)) {
       dead_area += area;
       dead_moisture += area * m;
@@ -177,7 +180,6 @@ FireBehavior compute_fire_behavior(const FuelModel& model,
       live_moisture += area * m;
     }
   }
-  (void)dummy;
   if (dead_area > kSmidgen) dead_moisture /= dead_area;
   if (live_area > kSmidgen) live_moisture /= live_area;
 
@@ -225,50 +227,61 @@ FireBehavior compute_fire_behavior(const FuelModel& model,
     const double total_area = dead_area + live_area;
     for (const FuelParticle& p : model.particles) {
       const double area = p.load * p.savr / p.density;
-      double m = 0.0;
-      switch (p.cls) {
-        case ParticleClass::kDead1Hr: m = moisture.m1; break;
-        case ParticleClass::kDead10Hr: m = moisture.m10; break;
-        case ParticleClass::kDead100Hr: m = moisture.m100; break;
-        case ParticleClass::kLiveHerb: m = moisture.mherb; break;
-        case ParticleClass::kLiveWoody: m = moisture.mwood; break;
-      }
       const double eps = std::exp(-138.0 / p.savr);
-      const double qig = 250.0 + 1116.0 * m;
+      const double qig = 250.0 + 1116.0 * particle_moisture(p, moisture);
       heat_sink += (area / total_area) * eps * qig;
     }
     heat_sink *= bed.bulk_density;
   }
 
   if (heat_sink < kSmidgen || reaction_intensity < kSmidgen) {
-    out.reaction_intensity = std::max(reaction_intensity, 0.0);
+    state.reaction_intensity = std::max(reaction_intensity, 0.0);
+    return state;  // fuel too wet to carry fire
+  }
+
+  state.spreads = true;
+  state.reaction_intensity = reaction_intensity;
+  // Residence time tau = 384/sigma (Anderson 1969) => H_A = I_R * tau.
+  state.heat_per_unit_area = reaction_intensity * 384.0 / bed.sigma;
+  state.r0 = reaction_intensity * bed.xi / heat_sink;
+  state.slope_k = bed.slope_k;
+  state.wind_b = bed.wind_b;
+  state.wind_c = bed.wind_c;
+  state.beta_ratio_pow_e = std::pow(bed.beta_ratio, bed.wind_e);
+  state.beta_ratio_pow_neg_e = std::pow(bed.beta_ratio, -bed.wind_e);
+  state.phi_w = wind_speed_fpm > kSmidgen
+                    ? bed.wind_c * std::pow(wind_speed_fpm, bed.wind_b) *
+                          state.beta_ratio_pow_neg_e
+                    : 0.0;
+  return state;
+}
+
+FireBehavior compute_cell_behavior(const FuelSweepState& state,
+                                   double wind_dir_deg, double slope_ratio,
+                                   double upslope_deg) {
+  FireBehavior out;
+  if (!state.burnable) return out;
+  ESSNS_REQUIRE(slope_ratio >= 0.0, "slope ratio must be non-negative");
+  if (!state.spreads) {
+    out.reaction_intensity = state.reaction_intensity;
     return out;  // fuel too wet to carry fire
   }
 
-  const double r0 = reaction_intensity * bed.xi / heat_sink;
-
   // --- Wind and slope factors combined vectorially (fireLib). ---
-  const double phi_w =
-      ws.wind_speed_fpm > kSmidgen
-          ? bed.wind_c * std::pow(ws.wind_speed_fpm, bed.wind_b) *
-                std::pow(bed.beta_ratio, -bed.wind_e)
-          : 0.0;
+  const double r0 = state.r0;
   const double phi_s =
-      ws.slope_ratio > kSmidgen ? bed.slope_k * ws.slope_ratio * ws.slope_ratio
-                                : 0.0;
+      slope_ratio > kSmidgen ? state.slope_k * slope_ratio * slope_ratio : 0.0;
 
-  const double slope_rate = r0 * phi_s;  // vector toward upslope
-  const double wind_rate = r0 * phi_w;   // vector toward wind bearing
-  const double split =
-      azimuth_radians(ws.wind_dir_deg - ws.upslope_deg);
+  const double slope_rate = r0 * phi_s;        // vector toward upslope
+  const double wind_rate = r0 * state.phi_w;   // vector toward wind bearing
+  const double split = azimuth_radians(wind_dir_deg - upslope_deg);
   const double x = slope_rate + wind_rate * std::cos(split);
   const double y = wind_rate * std::sin(split);
   const double add_rate = std::sqrt(x * x + y * y);
 
-  double azimuth_max = ws.upslope_deg;
+  double azimuth_max = upslope_deg;
   if (add_rate > kSmidgen) {
-    azimuth_max =
-        ws.upslope_deg + units::radians_to_degrees(std::atan2(y, x));
+    azimuth_max = upslope_deg + units::radians_to_degrees(std::atan2(y, x));
     azimuth_max = std::fmod(azimuth_max, 360.0);
     if (azimuth_max < 0.0) azimuth_max += 360.0;
   }
@@ -278,22 +291,21 @@ FireBehavior compute_fire_behavior(const FuelModel& model,
 
   // Effective wind speed that would alone produce phi_ew.
   double eff_wind = 0.0;
-  if (phi_ew > kSmidgen && bed.wind_b > kSmidgen) {
-    eff_wind = std::pow(phi_ew * std::pow(bed.beta_ratio, bed.wind_e) /
-                            bed.wind_c,
-                        1.0 / bed.wind_b);
+  if (phi_ew > kSmidgen && state.wind_b > kSmidgen) {
+    eff_wind = std::pow(phi_ew * state.beta_ratio_pow_e / state.wind_c,
+                        1.0 / state.wind_b);
   }
 
   // Rothermel's wind limit: effective wind capped at 0.9 * I_R.
   bool limit_hit = false;
-  const double max_wind = 0.9 * reaction_intensity;
+  const double max_wind = 0.9 * state.reaction_intensity;
   if (eff_wind > max_wind) {
     limit_hit = true;
     eff_wind = max_wind;
-    phi_ew = eff_wind > kSmidgen
-                 ? bed.wind_c * std::pow(eff_wind, bed.wind_b) *
-                       std::pow(bed.beta_ratio, -bed.wind_e)
-                 : 0.0;
+    phi_ew = eff_wind > kSmidgen ? state.wind_c *
+                                       std::pow(eff_wind, state.wind_b) *
+                                       state.beta_ratio_pow_neg_e
+                                 : 0.0;
     rmax = r0 * (1.0 + phi_ew);
   }
 
@@ -308,11 +320,19 @@ FireBehavior compute_fire_behavior(const FuelModel& model,
   out.azimuth_max = azimuth_max;
   out.eccentricity = ecc;
   out.effective_wind_fpm = eff_wind;
-  out.reaction_intensity = reaction_intensity;
-  // Residence time tau = 384/sigma (Anderson 1969) => H_A = I_R * tau.
-  out.heat_per_unit_area = reaction_intensity * 384.0 / bed.sigma;
+  out.reaction_intensity = state.reaction_intensity;
+  out.heat_per_unit_area = state.heat_per_unit_area;
   out.wind_limit_hit = limit_hit;
   return out;
+}
+
+FireBehavior compute_fire_behavior(const FuelModel& model,
+                                   const FuelBedIntermediates& bed,
+                                   const MoistureSet& moisture,
+                                   const WindSlope& ws) {
+  return compute_cell_behavior(
+      compute_fuel_sweep_state(model, bed, moisture, ws.wind_speed_fpm),
+      ws.wind_dir_deg, ws.slope_ratio, ws.upslope_deg);
 }
 
 FireSpreadModel::FireSpreadModel(const FuelCatalog& catalog)
@@ -328,6 +348,15 @@ FireBehavior FireSpreadModel::behavior(int number, const MoistureSet& moisture,
   return compute_fire_behavior(catalog_->model(number),
                                beds_[static_cast<std::size_t>(number)],
                                moisture, ws);
+}
+
+FuelSweepState FireSpreadModel::sweep_state(int number,
+                                            const MoistureSet& moisture,
+                                            double wind_speed_fpm) const {
+  ESSNS_REQUIRE(catalog_->contains(number), "unknown fuel model number");
+  return compute_fuel_sweep_state(catalog_->model(number),
+                                  beds_[static_cast<std::size_t>(number)],
+                                  moisture, wind_speed_fpm);
 }
 
 }  // namespace essns::firelib

@@ -7,6 +7,11 @@
 //   2. the environment-dependent computation (moistures, wind, slope) that
 //      produces a FireBehavior: maximum spread rate + direction, reaction
 //      intensity and the eccentricity of the elliptical spread figure.
+// Phase 2 is itself two steps: a FuelSweepState holding everything that
+// depends only on (fuel model, moisture, wind speed), and a per-cell tail
+// adding slope and wind direction. compute_fire_behavior is their
+// composition; a sweep over per-cell terrain builds the state once per fuel
+// model and runs only the tail per cell, with identical results.
 //
 // Units are English throughout (ft, min, lb, Btu), like fireLib; use
 // essns::units to convert Table I inputs.
@@ -83,11 +88,43 @@ struct FireBehavior {
   double scorch_height_at(double deg, double air_temp_f) const;
 };
 
+/// Phase 2, first step: the part of the fire behavior that is constant over
+/// a sweep (fuel model, moisture, wind speed), so per-cell terrain only pays
+/// for the tail (compute_cell_behavior).
+struct FuelSweepState {
+  bool burnable = false;  ///< false: no fuel, the behavior is all zeros
+  bool spreads = false;   ///< false: too wet to carry fire (or no fuel)
+  double reaction_intensity = 0.0;  ///< I_R (Btu/ft^2/min)
+  double heat_per_unit_area = 0.0;  ///< H_A (Btu/ft^2)
+  double r0 = 0.0;                  ///< no-wind, no-slope spread rate (ft/min)
+  double phi_w = 0.0;               ///< wind factor at the sweep's wind speed
+  double slope_k = 0.0;             ///< fuel bed's slope_k
+  double wind_b = 0.0;              ///< fuel bed's wind_b
+  double wind_c = 0.0;              ///< fuel bed's wind_c
+  double beta_ratio_pow_e = 0.0;      ///< beta_ratio^wind_e
+  double beta_ratio_pow_neg_e = 0.0;  ///< beta_ratio^-wind_e
+};
+
 /// Phase 1: fuel-bed intermediates for `model`. Cheap enough to call freely,
 /// but FireSpreadModel caches one per catalog entry.
 FuelBedIntermediates compute_fuel_bed(const FuelModel& model);
 
-/// Phase 2: full fire behavior for a fuel bed under an environment.
+/// Phase 2, first step: validates the moistures and the wind speed (only
+/// for a burnable bed, like the full computation).
+FuelSweepState compute_fuel_sweep_state(const FuelModel& model,
+                                        const FuelBedIntermediates& bed,
+                                        const MoistureSet& moisture,
+                                        double wind_speed_fpm);
+
+/// Phase 2, per-cell tail: the wind-slope vector sum, effective wind, wind
+/// limit and ellipse for one cell's slope and aspect (`upslope_deg` is the
+/// azimuth pointing upslope). Validates the slope ratio for a burnable state.
+FireBehavior compute_cell_behavior(const FuelSweepState& state,
+                                   double wind_dir_deg, double slope_ratio,
+                                   double upslope_deg);
+
+/// Phase 2: full fire behavior for a fuel bed under an environment — the
+/// sweep state for ws.wind_speed_fpm followed by the per-cell tail.
 FireBehavior compute_fire_behavior(const FuelModel& model,
                                    const FuelBedIntermediates& bed,
                                    const MoistureSet& moisture,
@@ -101,6 +138,10 @@ class FireSpreadModel {
   /// Behavior of catalog model `number` under the given environment.
   FireBehavior behavior(int number, const MoistureSet& moisture,
                         const WindSlope& ws) const;
+
+  /// Sweep state of catalog model `number` (see compute_fuel_sweep_state).
+  FuelSweepState sweep_state(int number, const MoistureSet& moisture,
+                             double wind_speed_fpm) const;
 
   const FuelCatalog& catalog() const { return *catalog_; }
 

@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -36,9 +37,9 @@ std::uint64_t require_u64(const std::string& key, const std::string& value) {
 
 double require_double(const std::string& key, const std::string& value) {
   const auto v = parse_double(value);
-  if (!v)
+  if (!v || !std::isfinite(*v))
     throw InvalidArgument("bad value for '" + key + "': " + value +
-                          " (number)");
+                          " (finite number)");
   return *v;
 }
 

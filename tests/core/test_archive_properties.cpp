@@ -1,16 +1,23 @@
 // Parameterized invariants that every archive policy must satisfy.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/archive.hpp"
 
 namespace essns::core {
 namespace {
 
+// gtest prints a PolicyCase byte by byte into the test name, so the gap
+// between `policy` and `capacity` is a real zeroed member: as padding it held
+// whatever the stack did and the test names changed from build to build.
 struct PolicyCase {
   ArchivePolicy policy;
+  std::uint32_t zero_gap = 0;
   std::size_t capacity;
   const char* name;
 };
+static_assert(sizeof(ArchivePolicy) == 4 && sizeof(PolicyCase) == 24);
 
 class ArchivePolicySweep : public ::testing::TestWithParam<PolicyCase> {
  protected:
@@ -87,13 +94,13 @@ TEST_P(ArchivePolicySweep, DeterministicForSeed) {
 INSTANTIATE_TEST_SUITE_P(
     Policies, ArchivePolicySweep,
     ::testing::Values(
-        PolicyCase{ArchivePolicy::kNoveltyRanked, 8, "ranked8"},
-        PolicyCase{ArchivePolicy::kNoveltyRanked, 64, "ranked64"},
-        PolicyCase{ArchivePolicy::kRandom, 8, "random8"},
-        PolicyCase{ArchivePolicy::kRandom, 64, "random64"},
-        PolicyCase{ArchivePolicy::kThreshold, 16, "threshold16"},
-        PolicyCase{ArchivePolicy::kAdaptiveThreshold, 16, "adaptive16"},
-        PolicyCase{ArchivePolicy::kUnbounded, 1, "unbounded"}),
+        PolicyCase{.policy = ArchivePolicy::kNoveltyRanked, .capacity = 8, .name = "ranked8"},
+        PolicyCase{.policy = ArchivePolicy::kNoveltyRanked, .capacity = 64, .name = "ranked64"},
+        PolicyCase{.policy = ArchivePolicy::kRandom, .capacity = 8, .name = "random8"},
+        PolicyCase{.policy = ArchivePolicy::kRandom, .capacity = 64, .name = "random64"},
+        PolicyCase{.policy = ArchivePolicy::kThreshold, .capacity = 16, .name = "threshold16"},
+        PolicyCase{.policy = ArchivePolicy::kAdaptiveThreshold, .capacity = 16, .name = "adaptive16"},
+        PolicyCase{.policy = ArchivePolicy::kUnbounded, .capacity = 1, .name = "unbounded"}),
     [](const ::testing::TestParamInfo<PolicyCase>& info) {
       return info.param.name;
     });

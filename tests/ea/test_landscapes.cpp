@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -95,22 +97,34 @@ TEST(CountingBatchTest, CountsEvaluations) {
   EXPECT_EQ(counter, 4u);
 }
 
-class LandscapeBounds : public ::testing::TestWithParam<double (*)(const Genome&)> {};
+struct NamedLandscape {
+  const char* name;
+  double (*fn)(const Genome&);
+};
+
+// Prints the landscape's name, which becomes the test name suffix; the
+// default would print the function address, which changes from run to run.
+void PrintTo(const NamedLandscape& l, std::ostream* os) { *os << l.name; }
+
+class LandscapeBounds : public ::testing::TestWithParam<NamedLandscape> {};
 
 TEST_P(LandscapeBounds, ValuesStayInUnitInterval) {
   Rng rng(99);
   for (int i = 0; i < 2000; ++i) {
     Genome g(6);
     for (double& x : g) x = rng.uniform();
-    const double v = GetParam()(g);
+    const double v = GetParam().fn(g);
     EXPECT_GE(v, 0.0 - 1e-9);
     EXPECT_LE(v, 1.0 + 1e-9);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllLandscapes, LandscapeBounds,
-                         ::testing::Values(&sphere, &rastrigin,
-                                           &deceptive_trap, &two_peaks));
+INSTANTIATE_TEST_SUITE_P(
+    AllLandscapes, LandscapeBounds,
+    ::testing::Values(NamedLandscape{"sphere", &sphere},
+                      NamedLandscape{"rastrigin", &rastrigin},
+                      NamedLandscape{"deceptive_trap", &deceptive_trap},
+                      NamedLandscape{"two_peaks", &two_peaks}));
 
 }  // namespace
 }  // namespace essns::ea::landscapes

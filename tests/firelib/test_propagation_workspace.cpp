@@ -96,6 +96,27 @@ TEST(PropagationWorkspaceTest, ReuseOnHeterogeneousTerrain) {
   }
 }
 
+TEST(PropagationWorkspaceTest, PrefaultThenDemSweepMatchesFresh) {
+  const FireSpreadModel model;
+  const FirePropagator propagator(model);
+  const FireEnvironment env = heterogeneous_env(24);
+  const std::vector<CellIndex> ignition{{12, 12}};
+  const IgnitionMap fresh =
+      propagator.propagate(env, windy_scenario(), ignition, 150.0);
+
+  PropagationWorkspace workspace;
+  workspace.prefault(env.rows(), env.cols());
+  EXPECT_EQ(fresh, propagator.propagate(env, windy_scenario(), ignition,
+                                        150.0, workspace));
+
+  // Prefault over a workspace a DEM sweep has already filled, then sweep
+  // again: no per-cell travel row may survive into the next sweep.
+  propagator.propagate(env, calm_scenario(), ignition, 150.0, workspace);
+  workspace.prefault(env.rows(), env.cols());
+  EXPECT_EQ(fresh, propagator.propagate(env, windy_scenario(), ignition,
+                                        150.0, workspace));
+}
+
 TEST(PropagationWorkspaceTest, ContinuationFromInitialMapMatches) {
   const FireSpreadModel model;
   const FirePropagator propagator(model);

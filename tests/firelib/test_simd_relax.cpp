@@ -52,6 +52,21 @@ FireEnvironment dem_env(int size) {
   return env;
 }
 
+/// DEM slopes over the fuel mosaic: rock cells sit next to interior cells,
+/// so the kernel's burnable mask is exercised on per-cell travel rows.
+FireEnvironment dem_mosaic_env(int size) {
+  FireEnvironment env = fuel_mosaic_env(size);
+  Grid<double> slope(size, size, 0.0);
+  Grid<double> aspect(size, size, 0.0);
+  for (int r = 0; r < size; ++r)
+    for (int c = 0; c < size; ++c) {
+      slope(r, c) = (r * 11 + c * 7) % 45;
+      aspect(r, c) = (r * 23 + c * 41) % 360;
+    }
+  env.set_topography(std::move(slope), std::move(aspect));
+  return env;
+}
+
 bool host_has_avx2() { return simd::detected_isa() == simd::Isa::kAvx2; }
 
 TEST(SimdRelaxKernelTest, ModeResolutionOnPropagator) {
@@ -175,6 +190,29 @@ TEST(SimdRelaxSweepTest, FuelMosaicScalarMatchesAvx2) {
 TEST(SimdRelaxSweepTest, DemScalarMatchesAvx2) {
   if (!host_has_avx2()) GTEST_SKIP() << "host has no AVX2+FMA";
   expect_simd_matches(dem_env(24));
+}
+
+TEST(SimdRelaxSweepTest, DemFuelMosaicScalarMatchesAvx2) {
+  if (!host_has_avx2()) GTEST_SKIP() << "host has no AVX2+FMA";
+  const FireEnvironment env = dem_mosaic_env(32);
+  expect_simd_matches(env);
+
+  // The vector DEM path against the per-cell-Rothermel reference sweep,
+  // from a central ignition so the frontier crosses many rock cells.
+  const FireSpreadModel model;
+  FirePropagator vector(model);
+  vector.set_simd_mode(simd::Mode::kAvx2);
+  FirePropagator reference(model);
+  reference.set_reference_sweep(true);
+  const auto& space = ScenarioSpace::table1();
+  Rng rng(77);
+  for (int trial = 0; trial < 8; ++trial) {
+    const Scenario scenario = space.sample(rng);
+    const std::vector<CellIndex> ignition{{16, 16}};
+    ASSERT_EQ(vector.propagate(env, scenario, ignition, 240.0),
+              reference.propagate(env, scenario, ignition, 240.0))
+        << "trial " << trial << " scenario " << scenario.to_string();
+  }
 }
 
 TEST(SimdRelaxSweepTest, TieHeavyCalmSpreadMatches) {

@@ -75,6 +75,20 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   EXPECT_THROW(parse_request("predict id=f1 noise"), InvalidArgument);
   EXPECT_THROW(parse_request("predict id=f1 ="), InvalidArgument);
   EXPECT_THROW(parse_request("predict id="), InvalidArgument);
+  // Non-finite doubles parse as numbers but are not valid inputs.
+  for (const char* key : {"step_minutes", "noise", "fitness_threshold"})
+    for (const char* value : {"nan", "inf", "-inf"}) {
+      const std::string line =
+          std::string("predict id=f1 ") + key + "=" + value;
+      try {
+        parse_request(line);
+        ADD_FAILURE() << "accepted " << line;
+      } catch (const InvalidArgument& error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find(key), std::string::npos) << message;
+        EXPECT_NE(message.find(value), std::string::npos) << message;
+      }
+    }
 }
 
 TEST(ServeProtocol, ErrorsNameTheOffendingToken) {

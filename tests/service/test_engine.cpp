@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <future>
@@ -319,6 +320,7 @@ TEST(PredictionEngine, DestructionCancelsQueuedJobs) {
 
   SlotGate gate;
   std::future<JobRecord> queued_future;
+  std::thread releaser;
   {
     EngineConfig config;
     config.job_slots = 1;
@@ -340,8 +342,16 @@ TEST(PredictionEngine, DestructionCancelsQueuedJobs) {
     ASSERT_EQ(submission.admission, Admission::kAccepted);
     queued_future = std::move(submission.record);
 
-    gate.release();  // the dtor joins the in-flight job, cancels the rest
-  }
+    // Open the gate only once the destructor has cancelled the queued job.
+    // Opened before the destructor runs, the slot could finish the blocker
+    // and start the queued job first. The timeout turns an engine that
+    // never cancels into a failed expectation below instead of a hang.
+    releaser = std::thread([&] {
+      queued_future.wait_for(std::chrono::seconds(30));
+      gate.release();
+    });
+  }  // the dtor cancels the queued job, then joins the in-flight one
+  releaser.join();
   const JobRecord record = queued_future.get();
   EXPECT_EQ(record.status, JobStatus::kFailed);
   EXPECT_NE(record.error.find("cancelled"), std::string::npos);
