@@ -37,7 +37,7 @@ void print_help() {
       "single run\n"
       "  keys: workload size method seed generations fitness_threshold\n"
       "        population offspring workers novelty_k islands cache\n"
-      "        cache_mem simd numa backend trace metrics_out\n"
+      "        cache_mem simd numa trace metrics_out\n"
       "  methods:");
   for (const auto& m : ess::RunSpec::known_methods())
     std::printf(" %s", m.c_str());
@@ -71,13 +71,6 @@ void print_help() {
       "                   pins simulation workers to nodes only on\n"
       "                   multi-node hosts; performance-only, results are\n"
       "                   bit-identical at any setting\n"
-      "    --backend B    sweep backend (also valid in single-run mode);\n"
-      "                   results are bit-identical either way:\n"
-      "                     scalar   one sweep per scenario (default)\n"
-      "                     batched  evaluate a whole simulation batch in\n"
-      "                              one pass: travel-time tables built once\n"
-      "                              per fuel-model group, per-scenario hot\n"
-      "                              state laid out in one contiguous slab\n"
       "    --trace F      record spans (jobs x pipeline stages x workers)\n"
       "                   and write a Chrome trace-event JSON timeline to F\n"
       "                   (open in chrome://tracing or ui.perfetto.dev;\n"
@@ -134,7 +127,7 @@ void print_help() {
       "    --cache-mem M  shared-cache byte budget in MiB (default 256)\n"
       "    --cache-load F restore a cache snapshot before serving\n"
       "    --cache-save F write the cache snapshot on clean shutdown\n"
-      "    --simd K / --numa P / --backend B / --trace F / --metrics-out F\n"
+      "    --simd K / --numa P / --trace F / --metrics-out F\n"
       "                   as above\n"
       "  serve keys (defaults for requests that do not override them):\n"
       "    seed terrain size weather ignition steps step_minutes noise\n"
@@ -181,7 +174,7 @@ std::uint64_t require_uint64(const char* flag, const std::string& value) {
 double require_double(const char* flag, const std::string& value) {
   const auto v = parse_double(value);
   if (!v) {
-    std::fprintf(stderr, "%s expects a number, got '%s'\n", flag,
+    std::fprintf(stderr, "%s expects a finite number, got '%s'\n", flag,
                  value.c_str());
     std::exit(1);
   }
@@ -220,17 +213,6 @@ parallel::NumaMode require_numa_mode(const char* flag,
   return *mode;
 }
 
-firelib::SweepBackend require_backend(const char* flag,
-                                      const std::string& value) {
-  const auto backend = firelib::parse_sweep_backend(value);
-  if (!backend) {
-    std::fprintf(stderr, "%s expects scalar|batched, got '%s'\n", flag,
-                 value.c_str());
-    std::exit(1);
-  }
-  return *backend;
-}
-
 int run_campaign(int argc, char** argv) {
   service::CampaignConfig config;
   // Catalog files accumulate in flag order; inline catalog keys go after
@@ -255,8 +237,8 @@ int run_campaign(int argc, char** argv) {
     if (arg == "--jobs" || arg == "--workers" || arg == "--cache" ||
         arg == "--cache-mem" || arg == "--cache-load" ||
         arg == "--cache-save" || arg == "--simd" || arg == "--numa" ||
-        arg == "--backend" || arg == "--trace" || arg == "--metrics-out" ||
-        arg == "--catalog" || arg == "--shards") {
+        arg == "--trace" || arg == "--metrics-out" || arg == "--catalog" ||
+        arg == "--shards") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s expects a value\n", arg.c_str());
         return 1;
@@ -283,8 +265,6 @@ int run_campaign(int argc, char** argv) {
         config.simd_mode = require_simd_mode("--simd", value);
       } else if (arg == "--numa") {
         config.numa_mode = require_numa_mode("--numa", value);
-      } else if (arg == "--backend") {
-        config.backend = require_backend("--backend", value);
       } else if (arg == "--trace") {
         config.trace_out = std::strcmp(value, "none") == 0 ? "" : value;
       } else if (arg == "--metrics-out") {
@@ -516,7 +496,7 @@ int run_serve(int argc, char** argv) {
         arg == "--jobs" || arg == "--workers" || arg == "--queue" ||
         arg == "--cache-mem" || arg == "--cache-load" ||
         arg == "--cache-save" || arg == "--simd" || arg == "--numa" ||
-        arg == "--backend" || arg == "--trace" || arg == "--metrics-out") {
+        arg == "--trace" || arg == "--metrics-out") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s expects a value\n", arg.c_str());
         return 1;
@@ -555,8 +535,6 @@ int run_serve(int argc, char** argv) {
         config.simd_mode = require_simd_mode("--simd", value);
       } else if (arg == "--numa") {
         config.numa_mode = require_numa_mode("--numa", value);
-      } else if (arg == "--backend") {
-        config.backend = require_backend("--backend", value);
       } else if (arg == "--trace") {
         config.trace_out = std::strcmp(value, "none") == 0 ? "" : value;
       } else {
@@ -704,14 +682,6 @@ int run_single(int argc, char** argv) {
         return 1;
       }
       config_text << "numa=" << argv[++i] << '\n';
-      continue;
-    }
-    if (std::strcmp(argv[i], "--backend") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--backend expects a value\n");
-        return 1;
-      }
-      config_text << "backend=" << argv[++i] << '\n';
       continue;
     }
     if (std::strcmp(argv[i], "--trace") == 0) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -41,9 +42,11 @@ inline std::optional<int> parse_int(const std::string& text) {
   return v;
 }
 
-/// Whole-string double, via std::stod; nullopt on junk, whitespace or
-/// overflow. Hex-float spellings ("0x10", "+0X1p4") are rejected even though
-/// std::stod accepts them — no config surface means base-16 reals.
+/// Whole-string finite double, via std::stod; nullopt on junk, whitespace
+/// or overflow. Hex-float spellings ("0x10", "+0X1p4") and the non-finite
+/// spellings std::stod accepts ("nan", "inf", "-infinity") are rejected too —
+/// no config surface means base-16 reals, and NaN or ±inf in a parameter
+/// only poisons the arithmetic downstream.
 inline std::optional<double> parse_double(const std::string& text) {
   if (text.empty() || detail::has_leading_space(text)) return std::nullopt;
   for (const char ch : text)
@@ -55,7 +58,7 @@ inline std::optional<double> parse_double(const std::string& text) {
   } catch (const std::exception&) {
     return std::nullopt;
   }
-  if (used != text.size()) return std::nullopt;
+  if (used != text.size() || !std::isfinite(v)) return std::nullopt;
   return v;
 }
 

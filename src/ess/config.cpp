@@ -81,7 +81,12 @@ RunSpec parse_run_spec(std::istream& in) {
     if (key == "workload") spec.workload = value;
     else if (key == "size") spec.size = as_int(8);
     else if (key == "method") spec.method = value;
-    else if (key == "seed") spec.seed = static_cast<std::uint64_t>(as_double());
+    else if (key == "seed") {
+      const auto v = parse_uint64(value);
+      ESSNS_REQUIRE(v.has_value(),
+                    "bad unsigned integer for config key 'seed': " + value);
+      spec.seed = *v;
+    }
     else if (key == "generations") spec.generations = as_int(1);
     else if (key == "fitness_threshold") spec.fitness_threshold = as_double();
     else if (key == "population") spec.population = static_cast<std::size_t>(as_int(2));
@@ -111,13 +116,6 @@ RunSpec parse_run_spec(std::istream& in) {
         throw InvalidArgument(
             "config key 'numa' expects off|auto|on, got: " + value);
       spec.numa_mode = *mode;
-    }
-    else if (key == "backend") {
-      const auto backend = firelib::parse_sweep_backend(value);
-      if (!backend)
-        throw InvalidArgument(
-            "config key 'backend' expects scalar|batched, got: " + value);
-      spec.backend = *backend;
     }
     else if (key == "trace")
       spec.trace_out = value == "none" ? "" : value;
@@ -229,7 +227,6 @@ PipelineResult run_spec(const RunSpec& spec) {
   config.cache_mem_bytes = spec.cache_mem_mb << 20;
   config.simd_mode = spec.simd_mode;
   config.numa_mode = spec.numa_mode;
-  config.backend = spec.backend;
   PredictionPipeline pipeline(workload.environment, truth, config);
   auto optimizer = make_optimizer(spec);
   PipelineResult result = pipeline.run(*optimizer, rng);

@@ -18,7 +18,6 @@
 //   cache_mem  shared-cache byte budget, MiB      (256)
 //   simd       auto | avx2 | scalar — relax-kernel selection (auto)
 //   numa       off | auto | on — NUMA-aware worker placement (auto)
-//   backend    scalar | batched — sweep backend (scalar)
 //   trace      Chrome trace-event JSON output path, or none (none)
 //   metrics_out  metrics JSON output path, or none   (none)
 // Lines starting with '#' and blank lines are ignored.
@@ -32,7 +31,6 @@
 #include "cache/scenario_cache.hpp"
 #include "common/simd.hpp"
 #include "ess/monitor.hpp"
-#include "firelib/batch_sweep.hpp"
 #include "ess/optimizer.hpp"
 #include "parallel/affinity.hpp"
 #include "synth/workloads.hpp"
@@ -58,8 +56,6 @@ struct RunSpec {
   simd::Mode simd_mode = simd::Mode::kAuto;
   /// NUMA-aware worker placement (performance-only).
   parallel::NumaMode numa_mode = parallel::NumaMode::kAuto;
-  /// Sweep backend (results bit-identical at any setting).
-  firelib::SweepBackend backend = firelib::SweepBackend::kScalar;
   /// Chrome trace-event JSON output path ("" or "none" = off). Results are
   /// bit-identical with tracing on or off (property-tested).
   std::string trace_out;

@@ -61,13 +61,6 @@ class ScenarioEvaluator {
   unsigned workers() const { return service_.workers(); }
   std::size_t simulations_run() const { return service_.simulations_run(); }
 
-  /// Sweep-backend knob (see SimulationService::set_backend): kBatched runs
-  /// homogeneous simulation batches as one BatchSweep launch. Performance
-  /// only — results are bit-identical at any setting.
-  void set_backend(firelib::SweepBackend backend) {
-    service_.set_backend(backend);
-  }
-  firelib::SweepBackend backend() const { return service_.backend(); }
   std::size_t batch_dedup_hits() const { return service_.batch_dedup_hits(); }
 
   /// Relax-kernel and NUMA-placement knobs (see SimulationService); both

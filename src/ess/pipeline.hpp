@@ -52,9 +52,6 @@ struct PipelineConfig {
   simd::Mode simd_mode = simd::Mode::kAuto;
   /// NUMA-aware worker placement (kAuto pins only on multi-node hosts).
   parallel::NumaMode numa_mode = parallel::NumaMode::kAuto;
-  /// Sweep backend: kBatched runs homogeneous simulation batches as one
-  /// BatchSweep launch (bit-identical at any setting).
-  firelib::SweepBackend backend = firelib::SweepBackend::kScalar;
 };
 
 /// One predicted step (predicting t_{step} from data through t_{step-1}).
@@ -91,7 +88,7 @@ struct StepReport {
   std::size_t cache_entries = 0;
   std::size_t cache_bytes = 0;
   /// In-batch duplicate scenarios collapsed before reaching the sweep
-  /// engine (a subset of cache_hits; per-step delta, backend-independent).
+  /// (a subset of cache_hits; per-step delta).
   std::size_t batch_dedup_hits = 0;
 };
 

@@ -173,69 +173,11 @@ std::vector<SimulationResult> SimulationService::run_batch_uncached(
   if (obs::metrics_enabled() && !requests.empty())
     obs::record_histogram("sweep.batch_size",
                           static_cast<double>(requests.size()));
-  if (backend_ == firelib::SweepBackend::kBatched && !requests.empty() &&
-      !propagator_.reference_sweep()) {
-    // The batch engine needs one (start map, horizon) per launch — exactly
-    // what the cache paths and the fitness/map batch builders produce.
-    // Targets and start times may differ per request (scoring is
-    // per-request, after the launch).
-    const SimulationRequest& first = *requests.front();
-    bool launchable = true;
-    for (const SimulationRequest* req : requests)
-      if (req->start != first.start || req->end_time != first.end_time)
-        launchable = false;
-    if (launchable) return run_batch_batched(requests);
-  }
   if (pool_) return pool_->evaluate(requests);
   std::vector<SimulationResult> results;
   results.reserve(requests.size());
   for (const SimulationRequest* req : requests)
     results.push_back(run_one(0, *req));
-  return results;
-}
-
-std::vector<SimulationResult> SimulationService::run_batch_batched(
-    const std::vector<const SimulationRequest*>& requests) {
-  // One launch on the calling thread — the GPU-shaped execution model the
-  // backend enum is the on-ramp for (a device backend submits here too).
-  place_worker(0);
-  if (!batch_engine_)
-    batch_engine_ = std::make_unique<firelib::BatchSweep>(spread_model_);
-  batch_engine_->set_simd_mode(propagator_.simd_mode());
-
-  obs::SpanTimer batch_timer("sim.batch");
-  std::vector<const firelib::Scenario*> scenarios;
-  scenarios.reserve(requests.size());
-  for (const SimulationRequest* req : requests)
-    scenarios.push_back(req->scenario);
-  const SimulationRequest& first = *requests.front();
-  std::vector<firelib::IgnitionMap> maps =
-      batch_engine_->sweep(*env_, scenarios, *first.start, first.end_time);
-  const double batch_seconds = batch_timer.stop();
-  // Cost attribution for the shared cache's eviction weighting: the launch
-  // is one unit of work, split evenly (a perf heuristic, not a result).
-  const double per_sim_seconds =
-      batch_seconds / static_cast<double>(requests.size());
-  simulations_.fetch_add(requests.size(), std::memory_order_relaxed);
-
-  std::vector<SimulationResult> results(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const SimulationRequest& req = *requests[i];
-    if (req.target) {
-      results[i].fitness =
-          reference_fitness_
-              ? jaccard_at_reference(*req.target, maps[i], req.end_time,
-                                     req.start_time)
-              : jaccard_at(*req.target, maps[i], req.end_time, req.start_time);
-    }
-    if (req.keep_map) results[i].map = std::move(maps[i]);
-    results[i].sim_seconds = per_sim_seconds;
-  }
-  if (obs::metrics_enabled()) {
-    obs::add_counter("sim.count", requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i)
-      obs::record_histogram("sim.seconds", per_sim_seconds);
-  }
   return results;
 }
 

@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "cache/scenario_cache.hpp"
-#include "firelib/batch_sweep.hpp"
 #include "firelib/environment.hpp"
 #include "firelib/propagator.hpp"
 #include "parallel/affinity.hpp"
@@ -142,21 +141,8 @@ class SimulationService {
   /// equivalence tests and bench_hotpath baselines.
   void set_reference_kernels(bool reference);
 
-  /// Select the sweep backend (default kScalar). kBatched routes homogeneous
-  /// simulation batches — same start map and horizon, which is what every
-  /// cache path and fitness/map batch produces — through one
-  /// firelib::BatchSweep launch on the calling thread: grouped travel-time
-  /// tables built once per batch, per-scenario state striped through one
-  /// super-slab. In-batch duplicates are deduped by ScenarioKey before the
-  /// batch engine runs (the cache paths' scheduling), so GA duplicate-heavy
-  /// batches become smaller launches. Results are bit-identical to kScalar
-  /// at any worker count; heterogeneous batches and reference-kernel runs
-  /// keep the per-scenario path.
-  void set_backend(firelib::SweepBackend backend) { backend_ = backend; }
-  firelib::SweepBackend backend() const { return backend_; }
-
-  /// Requests served by an in-batch duplicate (the dedup that shrinks
-  /// batched launches); a subset of cache_hits(). Also flushed to the obs
+  /// Requests served by an in-batch duplicate instead of a second
+  /// simulation; a subset of cache_hits(). Also flushed to the obs
   /// registry as `sweep.batch_dedup_hits`.
   std::size_t batch_dedup_hits() const { return batch_dedup_hits_; }
 
@@ -238,10 +224,6 @@ class SimulationService {
   SimulationResult run_one(unsigned worker_id, const SimulationRequest& req);
   std::vector<SimulationResult> run_batch_uncached(
       const std::vector<const SimulationRequest*>& requests);
-  /// One BatchSweep launch over the (already deduped) requests; requires a
-  /// shared start map and end time across the batch.
-  std::vector<SimulationResult> run_batch_batched(
-      const std::vector<const SimulationRequest*>& requests);
   std::vector<SimulationResult> run_batch_step(
       const std::vector<SimulationRequest>& requests);
   std::vector<SimulationResult> run_batch_shared(
@@ -267,9 +249,6 @@ class SimulationService {
 
   cache::CachePolicy cache_policy_ = cache::CachePolicy::kStep;
   bool reference_fitness_ = false;
-  firelib::SweepBackend backend_ = firelib::SweepBackend::kScalar;
-  /// Lazily created on the first batched launch; master-thread only.
-  std::unique_ptr<firelib::BatchSweep> batch_engine_;
   std::size_t batch_dedup_hits_ = 0;
 
   // kStep state: one context's worth of memoized scenarios.

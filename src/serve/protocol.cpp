@@ -1,6 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -37,7 +36,7 @@ std::uint64_t require_u64(const std::string& key, const std::string& value) {
 
 double require_double(const std::string& key, const std::string& value) {
   const auto v = parse_double(value);
-  if (!v || !std::isfinite(*v))
+  if (!v)
     throw InvalidArgument("bad value for '" + key + "': " + value +
                           " (finite number)");
   return *v;

@@ -174,7 +174,6 @@ JobRecord CampaignScheduler::run_job(
     pipeline_config.shared_cache = shared_cache;
     pipeline_config.simd_mode = config_.simd_mode;
     pipeline_config.numa_mode = config_.numa_mode;
-    pipeline_config.backend = config_.backend;
     ess::PredictionPipeline pipeline(workload.environment, truth,
                                      pipeline_config);
 
@@ -224,7 +223,6 @@ CampaignResult CampaignScheduler::run(
     engine_config.shared_cache = config_.shared_cache;
   engine_config.simd_mode = config_.simd_mode;
   engine_config.numa_mode = config_.numa_mode;
-  engine_config.backend = config_.backend;
   engine_config.trace_out = config_.trace_out;
   engine_config.metrics_out = config_.metrics_out;
   engine_config.on_job_done = config_.on_job_done;

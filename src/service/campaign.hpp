@@ -71,9 +71,6 @@ struct CampaignConfig {
   /// NUMA-aware worker placement for every job's simulation workers
   /// (kAuto pins only on multi-node hosts).
   parallel::NumaMode numa_mode = parallel::NumaMode::kAuto;
-  /// Sweep backend for every job's simulation batches (bit-identical at any
-  /// setting; kBatched runs homogeneous batches as one BatchSweep launch).
-  firelib::SweepBackend backend = firelib::SweepBackend::kScalar;
 
   // Sharded campaigns (src/shard/): a worker process running one round-robin
   // slice of a larger catalog reports each job under its GLOBAL index —

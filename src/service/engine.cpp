@@ -70,8 +70,7 @@ const char* to_string(Admission admission) {
 JobRecord run_prediction_job(
     const synth::Workload& workload, std::size_t index,
     std::uint64_t campaign_seed, unsigned workers, const JobSpec& spec,
-    simd::Mode simd_mode, parallel::NumaMode numa_mode,
-    firelib::SweepBackend backend,
+    simd::Mode simd_mode, parallel::NumaMode numa_mode, firelib::SweepBackend,
     const std::shared_ptr<cache::SharedScenarioCache>& shared_cache) {
   JobRecord record;
   record.index = index;
@@ -101,7 +100,6 @@ JobRecord run_prediction_job(
                                                          : nullptr;
     pipeline_config.simd_mode = simd_mode;
     pipeline_config.numa_mode = numa_mode;
-    pipeline_config.backend = backend;
     ess::PredictionPipeline pipeline(workload.environment, truth,
                                      pipeline_config);
 
@@ -278,7 +276,7 @@ void PredictionEngine::slot_loop(unsigned slot) {
           *pending.request.workload, pending.request.index,
           pending.request.campaign_seed, pending.request.workers,
           pending.request.spec, config_.simd_mode, config_.numa_mode,
-          config_.backend, cache_);
+          firelib::SweepBackend::kScalar, cache_);
     }
     finish_job(pending, std::move(record));
     {

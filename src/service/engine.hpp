@@ -51,6 +51,16 @@
 #include "parallel/thread_pool.hpp"
 #include "synth/workloads.hpp"
 
+namespace essns::firelib {
+
+/// A one-value placeholder for the unnamed parameter of
+/// run_prediction_job. It exists only so the perfbench oracles, which pass
+/// `SweepBackend::kScalar`, keep compiling; it goes away with the next
+/// change to the benchmark sources.
+enum class SweepBackend { kScalar };
+
+}  // namespace essns::firelib
+
 namespace essns::service {
 
 enum class JobStatus { kSucceeded, kFailed };
@@ -138,8 +148,7 @@ struct JobRequest {
 JobRecord run_prediction_job(
     const synth::Workload& workload, std::size_t index,
     std::uint64_t campaign_seed, unsigned workers, const JobSpec& spec,
-    simd::Mode simd_mode, parallel::NumaMode numa_mode,
-    firelib::SweepBackend backend,
+    simd::Mode simd_mode, parallel::NumaMode numa_mode, firelib::SweepBackend,
     const std::shared_ptr<cache::SharedScenarioCache>& shared_cache);
 
 struct EngineConfig {
@@ -156,9 +165,6 @@ struct EngineConfig {
   std::shared_ptr<cache::SharedScenarioCache> shared_cache;
   simd::Mode simd_mode = simd::Mode::kAuto;
   parallel::NumaMode numa_mode = parallel::NumaMode::kAuto;
-  /// Sweep backend every slot runs its jobs with (bit-identical at any
-  /// setting).
-  firelib::SweepBackend backend = firelib::SweepBackend::kScalar;
   /// Chrome trace-event JSON output path ("" or "none" = tracing off);
   /// written when the engine is destroyed.
   std::string trace_out;

@@ -164,7 +164,6 @@ ShardedCampaignResult run_sharded_campaign(
     wc.cache_mem_bytes = config.cache_mem_bytes;
     wc.simd_mode = config.simd_mode;
     wc.numa_mode = config.numa_mode;
-    wc.backend = config.backend;
     wc.job_concurrency = per_worker_jobs;
     wc.workers_per_job = workers_per_job;
     wc.keep_final_maps = config.keep_final_maps;
@@ -434,7 +433,6 @@ int shard_worker_main() {
     config.cache_mem_bytes = static_cast<std::size_t>(wc.cache_mem_bytes);
     config.simd_mode = wc.simd_mode;
     config.numa_mode = wc.numa_mode;
-    config.backend = wc.backend;
     config.keep_final_maps = wc.keep_final_maps;
     // Global index of slice job i is shard_index + i * shard_count: the
     // round-robin inverse, from which each job derives its campaign seed.

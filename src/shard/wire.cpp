@@ -149,7 +149,6 @@ std::vector<std::uint8_t> encode_worker_config(const WorkerConfig& config) {
   out.u64(config.cache_mem_bytes);
   out.u8(static_cast<std::uint8_t>(config.simd_mode));
   out.u8(static_cast<std::uint8_t>(config.numa_mode));
-  out.u8(static_cast<std::uint8_t>(config.backend));
   out.u32(config.job_concurrency);
   out.u32(config.workers_per_job);
   out.u8(config.keep_final_maps ? 1 : 0);
@@ -179,8 +178,6 @@ WorkerConfig decode_worker_config(BinaryReader& in) {
   config.simd_mode = static_cast<simd::Mode>(checked_enum(in, 2, "simd mode"));
   config.numa_mode =
       static_cast<parallel::NumaMode>(checked_enum(in, 2, "numa mode"));
-  config.backend =
-      static_cast<firelib::SweepBackend>(checked_enum(in, 1, "sweep backend"));
   config.job_concurrency = in.u32();
   config.workers_per_job = in.u32();
   config.keep_final_maps = checked_enum(in, 1, "keep_final_maps") != 0;

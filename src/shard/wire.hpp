@@ -42,7 +42,7 @@
 namespace essns::shard {
 
 inline constexpr std::uint32_t kWireMagic = 0x45535357u;   // "WSSE" in LE bytes
-inline constexpr std::uint32_t kWireVersion = 2;
+inline constexpr std::uint32_t kWireVersion = 3;
 /// Upper bound on one frame's payload. Generous (a 4k x 4k double grid is
 /// 128 MiB) but small enough that a corrupted length prefix is rejected
 /// immediately.
@@ -78,7 +78,6 @@ struct WorkerConfig {
   std::uint64_t cache_mem_bytes = 0;
   simd::Mode simd_mode = simd::Mode::kAuto;
   parallel::NumaMode numa_mode = parallel::NumaMode::kAuto;
-  firelib::SweepBackend backend = firelib::SweepBackend::kScalar;
   std::uint32_t job_concurrency = 1;   ///< this worker's slice concurrency
   std::uint32_t workers_per_job = 1;   ///< forced, campaign-global value
   bool keep_final_maps = false;        ///< stream final grids in job frames

@@ -136,6 +136,22 @@ TEST(CliFlags, UnknownFlagFailsWithClearMessageInEveryMode) {
       << serve.err;
 }
 
+TEST(CliFlags, NonFiniteNumbersAreRejectedInEveryMode) {
+  const RunResult single = run_cli({"fitness_threshold=nan"});
+  EXPECT_EQ(single.exit_code, 1);
+  EXPECT_NE(single.err.find("config error"), std::string::npos) << single.err;
+
+  const RunResult campaign = run_cli({"campaign", "fitness_threshold=inf"});
+  EXPECT_EQ(campaign.exit_code, 1);
+  EXPECT_NE(campaign.err.find("expects a finite number"), std::string::npos)
+      << campaign.err;
+
+  const RunResult serve = run_cli({"serve", "step_minutes=-inf"});
+  EXPECT_EQ(serve.exit_code, 1);
+  EXPECT_NE(serve.err.find("expects a finite number"), std::string::npos)
+      << serve.err;
+}
+
 TEST(CliFlags, ValuedFlagWithoutValueFails) {
   const RunResult campaign = run_cli({"campaign", "--jobs"});
   EXPECT_EQ(campaign.exit_code, 1);

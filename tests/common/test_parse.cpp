@@ -66,6 +66,15 @@ TEST(ParseDoubleTest, RejectsJunk) {
   EXPECT_FALSE(parse_double("1.2.3").has_value());
 }
 
+TEST(ParseDoubleTest, RejectsNonFiniteAndOverflowingValues) {
+  // std::stod accepts every non-finite spelling here; no config value means
+  // NaN or an infinity, and one that slipped through would poison the
+  // arithmetic. Overflow past DBL_MAX is an error, not a silent infinity.
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "+inf", "-inf", "INF",
+                           "infinity", "-Infinity", "1e400", "-1e400"})
+    EXPECT_FALSE(parse_double(text).has_value()) << text;
+}
+
 TEST(ParseUint64Test, ParsesFullRange) {
   EXPECT_EQ(parse_uint64("0"), 0u);
   EXPECT_EQ(parse_uint64("18446744073709551615"),

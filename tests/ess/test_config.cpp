@@ -83,6 +83,7 @@ TEST(RunSpecTest, RejectsMalformedLines) {
   EXPECT_THROW(parse_run_spec("size="), InvalidArgument);
   EXPECT_THROW(parse_run_spec("size=abc"), InvalidArgument);
   EXPECT_THROW(parse_run_spec("unknown_key=3"), InvalidArgument);
+  EXPECT_THROW(parse_run_spec("backend=scalar"), InvalidArgument);
   EXPECT_THROW(parse_run_spec("method=nope"), InvalidArgument);
   EXPECT_THROW(parse_run_spec("workload=mars"), InvalidArgument);
   EXPECT_THROW(parse_run_spec("size=4"), InvalidArgument);  // below minimum
@@ -98,9 +99,28 @@ TEST(RunSpecTest, RejectsStrtolLeniencies) {
   EXPECT_THROW(parse_run_spec("generations=12junk\n"), InvalidArgument);
   EXPECT_THROW(parse_run_spec("fitness_threshold=0x1p2\n"), InvalidArgument);
   EXPECT_THROW(parse_run_spec("fitness_threshold=1. 5\n"), InvalidArgument);
+  // std::stod also accepts non-finite spellings; no config value means them.
+  for (const char* value : {"nan", "inf", "-inf", "infinity", "1e400"})
+    EXPECT_THROW(parse_run_spec(std::string("fitness_threshold=") + value),
+                 InvalidArgument)
+        << value;
   // Trimmed whitespace around a well-formed value still parses.
   EXPECT_EQ(parse_run_spec("generations= 12 \nmethod=ess-ga\n").generations,
             12);
+}
+
+TEST(RunSpecTest, SeedIsAnUnsignedInteger) {
+  // The full 64-bit range round-trips exactly.
+  EXPECT_EQ(parse_run_spec("seed=0\n").seed, 0u);
+  EXPECT_EQ(parse_run_spec("seed=18446744073709551615\n").seed,
+            18446744073709551615ULL);
+  // Values with no uint64 meaning are config errors, not undefined casts.
+  for (const char* value : {"nan", "inf", "-1", "1e30", "2.5", "1e3",
+                            "18446744073709551616", "+7"}) {
+    SCOPED_TRACE(value);
+    EXPECT_THROW(parse_run_spec(std::string("seed=") + value),
+                 InvalidArgument);
+  }
 }
 
 TEST(RunSpecTest, KnownMethodsListMatchesFactory) {

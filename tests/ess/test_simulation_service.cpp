@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "ess/fitness.hpp"
+#include "obs/metrics.hpp"
 #include "synth/ground_truth.hpp"
 #include "synth/workloads.hpp"
 
@@ -168,6 +169,99 @@ TEST_F(SimulationServiceTest, CachedSimulateBatchKeepsMapsBitwise) {
   for (std::size_t i = 0; i < maps.size(); ++i) EXPECT_EQ(maps[i], expected[i]);
   EXPECT_EQ(service.cache_hits(), 2u);
   EXPECT_EQ(service.simulations_run(), scenarios_.size());
+}
+
+TEST_F(SimulationServiceTest, FitnessBitIdenticalAcrossCacheQueueWorkerMatrix) {
+  // The uncached single-worker run is the oracle; every cache policy, queue
+  // discipline and worker count must reproduce it bitwise.
+  SimulationService oracle(workload_.environment, 1);
+  oracle.set_cache_policy(cache::CachePolicy::kOff);
+  const std::vector<double> expected = oracle.fitness_batch(
+      scenarios_, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
+      truth_.step_minutes);
+
+  for (const cache::CachePolicy policy :
+       {cache::CachePolicy::kOff, cache::CachePolicy::kStep,
+        cache::CachePolicy::kShared}) {
+    for (const firelib::SweepQueue queue :
+         {firelib::SweepQueue::kHeap, firelib::SweepQueue::kDial}) {
+      for (unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(std::string("cache=") + cache::to_string(policy) +
+                     " queue=" +
+                     (queue == firelib::SweepQueue::kHeap ? "heap" : "dial") +
+                     " workers=" + std::to_string(workers));
+        SimulationService service(workload_.environment, workers);
+        service.set_cache_policy(policy);
+        service.set_sweep_queue(queue);
+        const std::vector<double> fitness = service.fitness_batch(
+            scenarios_, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
+            truth_.step_minutes);
+        ASSERT_EQ(fitness.size(), expected.size());
+        for (std::size_t i = 0; i < fitness.size(); ++i)
+          EXPECT_EQ(fitness[i], expected[i]);  // bitwise, not approximate
+      }
+    }
+  }
+}
+
+TEST_F(SimulationServiceTest, InBatchDuplicatesCollapseBeforeTheSweep) {
+  // GA crossover/elitism makes duplicate genomes routine; both cache paths
+  // collapse them onto one scheduled simulation and answer the duplicates
+  // from their sibling's result.
+  std::vector<firelib::Scenario> dup_heavy = scenarios_;
+  dup_heavy.insert(dup_heavy.end(), scenarios_.begin(), scenarios_.end());
+
+  SimulationService oracle(workload_.environment, 1);
+  oracle.set_cache_policy(cache::CachePolicy::kOff);
+  const std::vector<double> expected =
+      oracle.fitness_batch(dup_heavy, truth_.fire_lines[0],
+                           truth_.fire_lines[1], 0.0, truth_.step_minutes);
+  EXPECT_EQ(oracle.batch_dedup_hits(), 0u);
+
+  for (const cache::CachePolicy policy :
+       {cache::CachePolicy::kStep, cache::CachePolicy::kShared}) {
+    SCOPED_TRACE(cache::to_string(policy));
+    SimulationService service(workload_.environment, 1);
+    service.set_cache_policy(policy);
+    const std::vector<double> fitness =
+        service.fitness_batch(dup_heavy, truth_.fire_lines[0],
+                              truth_.fire_lines[1], 0.0, truth_.step_minutes);
+    EXPECT_EQ(service.batch_dedup_hits(), scenarios_.size());
+    EXPECT_EQ(service.simulations_run(), scenarios_.size());
+    ASSERT_EQ(fitness.size(), expected.size());
+    for (std::size_t i = 0; i < fitness.size(); ++i)
+      EXPECT_EQ(fitness[i], expected[i]);  // bitwise, not approximate
+  }
+}
+
+TEST_F(SimulationServiceTest, BatchCountersReachTheMetricsRegistry) {
+  std::vector<firelib::Scenario> dup_heavy = scenarios_;
+  dup_heavy.push_back(scenarios_.front());
+
+  for (const cache::CachePolicy policy :
+       {cache::CachePolicy::kStep, cache::CachePolicy::kShared}) {
+    SCOPED_TRACE(cache::to_string(policy));
+    obs::MetricsRegistry* const previous = obs::metrics_registry();
+    obs::MetricsRegistry registry;
+    obs::install_metrics_registry(&registry);
+    SimulationService service(workload_.environment, 1);
+    service.set_cache_policy(policy);
+    service.fitness_batch(dup_heavy, truth_.fire_lines[0],
+                          truth_.fire_lines[1], 0.0, truth_.step_minutes);
+    obs::install_metrics_registry(previous);
+
+    const obs::MetricsSnapshot snapshot = registry.snapshot();
+    // One uncached batch of the distinct scenarios: the duplicate is
+    // deduped away before the sweeps run.
+    ASSERT_TRUE(snapshot.histograms.count("sweep.batch_size"));
+    EXPECT_EQ(snapshot.histograms.at("sweep.batch_size").count, 1u);
+    EXPECT_EQ(snapshot.histograms.at("sweep.batch_size").sum,
+              static_cast<double>(scenarios_.size()));
+    ASSERT_TRUE(snapshot.counters.count("sweep.batch_dedup_hits"));
+    EXPECT_EQ(snapshot.counters.at("sweep.batch_dedup_hits"), 1u);
+    ASSERT_TRUE(snapshot.counters.count("sweep.count"));
+    EXPECT_EQ(snapshot.counters.at("sweep.count"), scenarios_.size());
+  }
 }
 
 TEST_F(SimulationServiceTest, SharedPolicyMatchesOffBitwise) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/campaign.hpp"
@@ -129,6 +130,51 @@ TEST(ResultNeutrality, MetricsOnlyModeIsAlsoNeutral) {
   std::remove(metrics_path.c_str());
 
   expect_bit_identical(baseline, observed);
+}
+
+TEST(ResultNeutrality, SweepWorkCountersAgreeAcrossSimdAndWorkers) {
+  // A metric name means one thing on every path: configurations that give
+  // identical results must also report identical sweep work. With the cache
+  // off every configuration runs the same sweeps, so the work counters are
+  // pinned across relax kernels and worker counts, per workload.
+  const char* const kWorkCounters[] = {"sweep.count", "sweep.cells_popped",
+                                       "sweep.pushes", "sweep.stale_pops"};
+  for (const synth::Workload& workload : tiny_workloads()) {
+    SCOPED_TRACE(workload.name);
+    const std::vector<synth::Workload> single{workload};
+    std::vector<std::uint64_t> expected;
+    for (const simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kAvx2}) {
+      if (mode == simd::Mode::kAvx2 && !simd::cpu_supports_avx2()) {
+        std::printf("skipping the avx2 arm: host has no AVX2+FMA\n");
+        continue;
+      }
+      for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(std::string("simd=") + simd::to_string(mode) +
+                     " workers=" + std::to_string(workers));
+        service::CampaignConfig config = tiny_config(workers, 1);
+        config.cache_policy = cache::CachePolicy::kOff;
+        config.simd_mode = mode;
+        MetricsRegistry* const previous = metrics_registry();
+        MetricsRegistry registry;
+        install_metrics_registry(&registry);
+        const service::CampaignResult result =
+            service::CampaignScheduler(config).run(single);
+        install_metrics_registry(previous);
+        ASSERT_EQ(result.succeeded(), 1u);
+
+        const MetricsSnapshot snapshot = registry.snapshot();
+        std::vector<std::uint64_t> observed;
+        for (const char* name : kWorkCounters) {
+          ASSERT_TRUE(snapshot.counters.count(name)) << name;
+          observed.push_back(snapshot.counters.at(name));
+        }
+        EXPECT_GT(observed.front(), 0u);
+        if (expected.empty()) expected = observed;
+        for (std::size_t i = 0; i < observed.size(); ++i)
+          EXPECT_EQ(observed[i], expected[i]) << kWorkCounters[i];
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -269,7 +269,6 @@ TEST(WireFormat, WorkerConfigRoundTrips) {
   config.cache_mem_bytes = 123456789;
   config.simd_mode = simd::Mode::kScalar;
   config.numa_mode = parallel::NumaMode::kOn;
-  config.backend = firelib::SweepBackend::kBatched;
   config.job_concurrency = 3;
   config.workers_per_job = 4;
   config.keep_final_maps = true;
@@ -296,7 +295,6 @@ TEST(WireFormat, WorkerConfigRoundTrips) {
   EXPECT_EQ(back.cache_mem_bytes, config.cache_mem_bytes);
   EXPECT_EQ(back.simd_mode, config.simd_mode);
   EXPECT_EQ(back.numa_mode, config.numa_mode);
-  EXPECT_EQ(back.backend, config.backend);
   EXPECT_EQ(back.job_concurrency, config.job_concurrency);
   EXPECT_EQ(back.workers_per_job, config.workers_per_job);
   EXPECT_EQ(back.keep_final_maps, config.keep_final_maps);
