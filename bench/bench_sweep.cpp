@@ -3,11 +3,12 @@
 // sweep, single threaded, on the grid shapes that exercise both fast paths:
 //
 //   uniform   plains (travel-time-table inner loop, scenario-uniform fuels);
-//   dem       hills (per-cell travel-time rows built from a once-per-fuel
-//             Rothermel sweep state + fuel mosaic). Interior DEM cells
-//             relax through the same AVX2 kernel as uniform ones, so the
-//             hills-dem simd ratio times a real kernel, diluted by the
-//             per-cell row builds that both arms share.
+//   dem       hills (a once-per-fuel Rothermel sweep state, per-cell slope
+//             terms built once per topography, and each cell's slope/wind
+//             tail evaluated only for the neighbours it can still improve;
+//             fuel mosaic). DEM sweeps always relax scalar — the --simd
+//             mode selects nothing there — so the hills-dem simd ratio is
+//             a same-code control that shows this bench's noise floor.
 //
 // Every timed pair is first checked for bit-identical ignition maps —
 // heap-vs-dial AND scalar-vs-simd — and the whole default campaign catalog

@@ -58,6 +58,24 @@ class ScenarioEvaluator {
       const std::vector<firelib::Scenario>& scenarios,
       const firelib::IgnitionMap& start, double end_time);
 
+  /// Probability-of-ignition matrix of `scenarios` from `start` to
+  /// `end_time` — the SS/PS aggregation, bit-identical to
+  /// aggregate_probability(simulate_batch(...), end_time). Under the step
+  /// cache it reads the burned sets the OS fitness batches just swept over
+  /// the same interval instead of re-simulating them (see
+  /// SimulationService::burn_probability).
+  Grid<double> burn_probability(const std::vector<firelib::Scenario>& scenarios,
+                                const firelib::IgnitionMap& start,
+                                double end_time) {
+    return service_.burn_probability(scenarios, start, end_time);
+  }
+
+  /// How many of the best OS simulations per interval keep their burned
+  /// set for burn_probability: the size of the solution set the SS reads.
+  void set_solution_memo_capacity(std::size_t capacity) {
+    service_.set_solution_memo_capacity(capacity);
+  }
+
   unsigned workers() const { return service_.workers(); }
   std::size_t simulations_run() const { return service_.simulations_run(); }
 

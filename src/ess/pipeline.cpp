@@ -91,6 +91,7 @@ PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
   evaluator.set_simd_mode(config_.simd_mode);
   evaluator.set_numa_mode(config_.numa_mode);
   evaluator.set_cache_policy(config_.cache_policy);
+  evaluator.set_solution_memo_capacity(config_.max_solution_maps);
   if (config_.cache_policy == cache::CachePolicy::kShared) {
     evaluator.set_cache_mem_bytes(config_.cache_mem_bytes);
     if (config_.shared_cache) evaluator.set_shared_cache(config_.shared_cache);
@@ -143,17 +144,16 @@ PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
     if (outcome.solutions.size() > config_.max_solution_maps)
       outcome.solutions.resize(config_.max_solution_maps);
 
-    // --- Statistical Stage (calibration side): maps over [t_{n-1}, t_n],
-    // batched over the shared worker pool. ---
+    // --- Statistical Stage (calibration side): maps over [t_{n-1}, t_n] —
+    // the interval the OS just swept, so the evaluator serves the burned
+    // sets it kept and batches the rest over the shared worker pool. ---
     obs::SpanTimer ss_timer("pipeline.ss");
     std::vector<firelib::Scenario> scenarios;
     scenarios.reserve(outcome.solutions.size());
     for (const auto& ind : outcome.solutions)
       scenarios.push_back(space.decode(ind.genome));
-    const std::vector<firelib::IgnitionMap> calibration_maps =
-        evaluator.simulate_batch(scenarios, lines[un - 1], t_now);
     const Grid<double> probability_now =
-        aggregate_probability(calibration_maps, t_now);
+        evaluator.burn_probability(scenarios, lines[un - 1], t_now);
     sample_cache();
     const double ss_seconds = ss_timer.stop();
 
@@ -168,9 +168,7 @@ PipelineResult PredictionPipeline::run(Optimizer& optimizer, Rng& rng) {
 
     // --- Prediction Stage for t_{n+1} using Kign_n (same batch path). ---
     obs::SpanTimer ps_timer("pipeline.ps");
-    const std::vector<firelib::IgnitionMap> prediction_maps =
-        evaluator.simulate_batch(scenarios, lines[un], t_next);
-    last_probability_ = aggregate_probability(prediction_maps, t_next);
+    last_probability_ = evaluator.burn_probability(scenarios, lines[un], t_next);
     last_prediction_ = apply_kign(last_probability_, kign.kign);
     sample_cache();
     const double ps_seconds = ps_timer.stop();

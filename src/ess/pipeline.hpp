@@ -3,13 +3,16 @@
 // Per prediction step n (n = 1 .. T-1), with fire lines RFL at instants t_i:
 //   OS : search scenarios over [t_{n-1}, t_n]; fitness of a scenario is
 //        Eq. (3) between its simulated map at t_n and RFL_n;
-//   SS : re-simulate the optimizer's solution set over the same interval and
-//        aggregate into the probability-of-ignition matrix;
+//   SS : aggregate the burn maps of the optimizer's solution set over the
+//        same interval into the probability-of-ignition matrix. Under the
+//        step cache the evaluator keeps the burned sets of the best
+//        max_solution_maps OS simulations of the interval, so the SS reads
+//        them instead of re-simulating (ScenarioEvaluator::burn_probability);
 //        NOTE: unlike the paper — which scopes parallelism to the OS alone
 //        ("parallelism will only be implemented in the evaluation of the
-//        scenarios", §III-B) — the SS and PS re-simulations here go through
-//        ScenarioEvaluator::simulate_batch and share the OS Master/Worker
-//        pool, so every stage that simulates scales with config.workers;
+//        scenarios", §III-B) — whatever the SS and PS do simulate shares
+//        the OS Master/Worker pool, so every stage that simulates scales
+//        with config.workers;
 //   CS : S_Kign — search the threshold that best reproduces RFL_n (this is
 //        where Kign_n is born; Fig. 2 left box);
 //   PS : simulate the solution set forward from RFL_n to t_{n+1}, aggregate,
@@ -36,7 +39,9 @@ struct PipelineConfig {
   ea::StopCondition stop{30, 0.95};  ///< per-step OS budget
   int kign_candidates = 100;         ///< CS threshold grid resolution
   unsigned workers = 1;              ///< OS-Worker count (1 = serial)
-  std::size_t max_solution_maps = 64;  ///< cap on maps aggregated by the SS
+  /// Cap on maps aggregated by the SS; also how many of the best OS
+  /// simulations per step keep their burned set for the SS (step cache).
+  std::size_t max_solution_maps = 64;
   /// Scenario memoization policy (results bit-identical under every
   /// policy): kStep scopes the cache to one prediction step's interval,
   /// kShared keeps entries across steps (and across jobs, when a campaign
@@ -69,7 +74,7 @@ struct StepReport {
   // Per-stage wall-clock breakdown of elapsed_seconds (bench_stages uses
   // these to report per-stage speedup across worker counts).
   double os_seconds = 0.0;  ///< Optimization Stage (search + fitness batches)
-  double ss_seconds = 0.0;  ///< Statistical Stage (batch re-simulation + aggregation)
+  double ss_seconds = 0.0;  ///< Statistical Stage (solution maps + aggregation)
   double cs_seconds = 0.0;  ///< Calibration Stage (S_Kign threshold search)
   double ps_seconds = 0.0;  ///< Prediction Stage (forward batch + threshold)
 

@@ -9,6 +9,19 @@
 #include "obs/trace.hpp"
 
 namespace essns::ess {
+namespace {
+
+/// Cells of `map` burned by `time`, one bit per cell in row-major order.
+std::vector<std::uint64_t> pack_burned(const firelib::IgnitionMap& map,
+                                       double time) {
+  std::vector<std::uint64_t> bits((map.size() + 63) / 64, 0);
+  const double* t = map.data();
+  for (std::size_t i = 0; i < map.size(); ++i)
+    bits[i >> 6] |= std::uint64_t{t[i] <= time} << (i & 63);
+  return bits;
+}
+
+}  // namespace
 
 SimulationService::SimulationService(const firelib::FireEnvironment& env,
                                      unsigned workers)
@@ -35,6 +48,47 @@ void SimulationService::clear_step_cache() {
   step_cache_.clear();
   cache_context_ = CacheContext{};
   step_cache_bytes_ = 0;
+  memo_.clear();
+  memo_start_ = nullptr;
+  memo_bytes_ = 0;
+}
+
+void SimulationService::set_solution_memo_capacity(std::size_t capacity) {
+  memo_capacity_ = capacity;
+  memo_.clear();
+  memo_start_ = nullptr;
+  memo_bytes_ = 0;
+}
+
+double SimulationService::solution_mask_floor() const {
+  if (memo_.size() < memo_capacity_)
+    return -std::numeric_limits<double>::infinity();
+  double floor = std::numeric_limits<double>::infinity();
+  for (const SolutionMask& entry : memo_)
+    floor = std::min(floor, entry.fitness);
+  return floor;
+}
+
+void SimulationService::offer_solution_mask(const cache::ScenarioKey& key,
+                                            double fitness,
+                                            std::vector<std::uint64_t>&& mask) {
+  for (const SolutionMask& entry : memo_)
+    if (entry.key == key) return;  // re-simulated after a step-cache wipe
+  const auto charge = [](const SolutionMask& entry) {
+    return sizeof(SolutionMask) + entry.bits.size() * sizeof(std::uint64_t);
+  };
+  if (memo_.size() >= memo_capacity_) {
+    // Evict the lowest fitness; among equals the latest entry goes, so a
+    // tie always keeps the earlier one.
+    auto victim = memo_.end();
+    for (auto it = memo_.begin(); it != memo_.end(); ++it)
+      if (victim == memo_.end() || it->fitness <= victim->fitness) victim = it;
+    if (victim == memo_.end() || !(fitness > victim->fitness)) return;
+    memo_bytes_ -= charge(*victim);
+    memo_.erase(victim);
+  }
+  memo_.push_back(SolutionMask{key, fitness, std::move(mask)});
+  memo_bytes_ += charge(memo_.back());
 }
 
 void SimulationService::set_cache_policy(cache::CachePolicy policy) {
@@ -65,7 +119,7 @@ std::size_t SimulationService::cache_entries() const {
 
 std::size_t SimulationService::cache_bytes() const {
   switch (cache_policy_) {
-    case cache::CachePolicy::kStep: return step_cache_bytes_;
+    case cache::CachePolicy::kStep: return step_cache_bytes_ + memo_bytes_;
     case cache::CachePolicy::kShared:
       return shared_cache_ ? shared_cache_->stats().bytes : 0;
     case cache::CachePolicy::kOff: break;
@@ -160,6 +214,8 @@ SimulationResult SimulationService::run_one(unsigned worker_id,
             : jaccard_at(*req.target, simulated, req.end_time, req.start_time);
   }
   if (req.keep_map) result.map = simulated;
+  if (result.fitness > req.mask_floor)
+    result.mask = pack_burned(simulated, req.end_time);
   result.sim_seconds = sim_timer.stop();
   if (obs::metrics_enabled()) {
     obs::add_counter("sim.count", 1);
@@ -234,6 +290,22 @@ std::vector<SimulationResult> SimulationService::run_batch_step(
     step_cache_bytes_ = 0;
     cache_context_ = context;
   }
+  // The solution-mask memo follows fitness batches: it is scoped to the
+  // simulation context alone, so a new target over the same interval
+  // keeps it and a new interval starts it afresh.
+  const bool memoize = first.target && memo_capacity_ > 0;
+  if (memoize && (memo_start_ != context.start ||
+                  memo_start_fingerprint_ != context.start_fingerprint ||
+                  memo_end_time_ != context.end_time)) {
+    memo_.clear();
+    memo_bytes_ = 0;
+    memo_start_ = context.start;
+    memo_start_fingerprint_ = context.start_fingerprint;
+    memo_end_time_ = context.end_time;
+  }
+  const double mask_floor = memoize
+                                ? solution_mask_floor()
+                                : std::numeric_limits<double>::infinity();
 
   // Plan the batch on the master thread: serve what the cache can, collapse
   // in-batch duplicates onto one scheduled simulation, simulate the rest.
@@ -262,6 +334,7 @@ std::vector<SimulationResult> SimulationService::run_batch_step(
     const auto [it, inserted] = in_batch.try_emplace(key, scheduled.size());
     if (inserted) {
       scheduled.push_back(req);
+      scheduled.back().mask_floor = mask_floor;
       scheduled_keys.push_back(key);
       ++cache_misses_;
     } else {
@@ -287,6 +360,9 @@ std::vector<SimulationResult> SimulationService::run_batch_step(
   }
   for (std::size_t slot = 0; slot < scheduled.size(); ++slot) {
     const cache::ScenarioKey& key = scheduled_keys[slot];
+    if (!simulated[slot].mask.empty())
+      offer_solution_mask(key, simulated[slot].fitness,
+                          std::move(simulated[slot].mask));
     const bool known = step_cache_.count(key) != 0;
     if (!known && step_cache_.size() >= step_cache_capacity_) {
       ++cache_insertions_rejected_;
@@ -446,6 +522,54 @@ std::vector<firelib::IgnitionMap> SimulationService::simulate_batch(
   maps.reserve(results.size());
   for (SimulationResult& result : results) maps.push_back(std::move(result.map));
   return maps;
+}
+
+Grid<double> SimulationService::burn_probability(
+    const std::vector<firelib::Scenario>& scenarios,
+    const firelib::IgnitionMap& start, double end_time) {
+  ESSNS_REQUIRE(!scenarios.empty(), "cannot aggregate zero maps");
+  Grid<double> probability(start.rows(), start.cols(), 0.0);
+  double* p = probability.data();
+  const std::size_t cells = probability.size();
+
+  // Scenarios the memo holds for this (start, end_time) count straight
+  // from their masks; the rest are simulated as a map batch.
+  const bool memo_live =
+      cache_policy_ == cache::CachePolicy::kStep && !memo_.empty() &&
+      memo_start_ == &start && memo_end_time_ == end_time &&
+      memo_start_fingerprint_ == cache::map_fingerprint(start);
+  std::vector<firelib::Scenario> misses;
+  std::size_t memo_hits = 0;
+  for (const firelib::Scenario& scenario : scenarios) {
+    const SolutionMask* hit = nullptr;
+    if (memo_live) {
+      const cache::ScenarioKey key = cache::make_scenario_key(scenario);
+      for (const SolutionMask& entry : memo_)
+        if (entry.key == key) hit = &entry;
+    }
+    if (!hit) {
+      misses.push_back(scenario);
+      continue;
+    }
+    ++memo_hits;
+    for (std::size_t i = 0; i < cells; ++i)
+      if ((hit->bits[i >> 6] >> (i & 63)) & 1) p[i] += 1.0;
+  }
+  cache_hits_ += memo_hits;
+  if (obs::metrics_enabled() && memo_hits > 0)
+    obs::add_counter("cache.hits", memo_hits);
+
+  if (!misses.empty()) {
+    for (const firelib::IgnitionMap& map :
+         simulate_batch(misses, start, end_time)) {
+      const double* t = map.data();
+      for (std::size_t i = 0; i < cells; ++i)
+        if (t[i] <= end_time) p[i] += 1.0;
+    }
+  }
+  const double inv = 1.0 / static_cast<double>(scenarios.size());
+  for (double& value : probability) value *= inv;
+  return probability;
 }
 
 std::vector<double> SimulationService::fitness_batch(

@@ -26,6 +26,19 @@
 //           prediction step) clears it. All bookkeeping happens on the
 //           master thread at batch-assembly time, so hit/miss counts and
 //           results are deterministic at every worker count.
+//           Alongside it sits the solution-mask memo, scoped to the
+//           *simulation* context (start map, end time) only: the
+//           bit-packed burned sets at end_time of the K highest-fitness
+//           fitness simulations (K = set_solution_memo_capacity, the
+//           size of the solution set the SS aggregates). The SS asks
+//           burn_probability for exactly the scenarios the OS just swept
+//           over the same interval, so it reads these masks instead of
+//           re-running the sweeps. Once the memo is full, the master
+//           snapshots its lowest fitness into each request before the
+//           scatter and a worker packs a mask only for a result that
+//           beats it; insertion and eviction run on the master in request
+//           order (ties keep the earlier entry), so hits stay identical
+//           at every worker count.
 //   kShared a cache::SharedScenarioCache keyed by context-qualified keys,
 //           surviving context changes and shareable across concurrent
 //           services (one per campaign). Hit/miss patterns may vary across
@@ -36,6 +49,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -61,6 +75,10 @@ struct SimulationRequest {
   /// When false, the simulated map is dropped after scoring (fitness-only
   /// requests avoid one map copy per simulation).
   bool keep_map = true;
+  /// The result carries the burned set at end_time, bit-packed, when its
+  /// fitness exceeds this floor (+infinity: never). Set by the kStep
+  /// solution-mask memo, not by callers.
+  double mask_floor = std::numeric_limits<double>::infinity();
 };
 
 struct SimulationResult {
@@ -69,6 +87,9 @@ struct SimulationResult {
   /// Wall-clock of the simulation that produced this result (0 for cache
   /// hits); the shared cache weights eviction by it.
   double sim_seconds = 0.0;
+  /// Burned set at end_time (bit i of word i / 64 = cell i, row-major);
+  /// empty unless the fitness beat the request's mask_floor.
+  std::vector<std::uint64_t> mask;
 };
 
 class SimulationService {
@@ -126,9 +147,18 @@ class SimulationService {
     return cache_insertions_rejected_;
   }
   /// Entries / charged bytes visible to this service: the step-scoped map
-  /// under kStep, the whole shared cache under kShared, 0 under kOff.
+  /// (bytes also count the solution-mask memo) under kStep, the whole
+  /// shared cache under kShared, 0 under kOff.
   std::size_t cache_entries() const;
   std::size_t cache_bytes() const;
+
+  /// K of the kStep solution-mask memo: how many of the highest-fitness
+  /// fitness simulations of the current simulation context keep their
+  /// burned set for burn_probability (default 0: none). Pipelines hand in
+  /// the size of the solution set their SS aggregates.
+  void set_solution_memo_capacity(std::size_t capacity);
+  /// Masks the memo holds now (at most its capacity).
+  std::size_t solution_memo_entries() const { return memo_.size(); }
 
   /// Shrink the kStep insertion backstop (default 1<<16 entries) — exposed
   /// so tests can exercise the saturation counters cheaply.
@@ -192,6 +222,17 @@ class SimulationService {
       const std::vector<firelib::Scenario>& scenarios,
       const firelib::IgnitionMap& start, double end_time);
 
+  /// Probability-of-ignition matrix of `scenarios` simulated from `start`
+  /// to end_time: bit-identical to aggregate_probability(simulate_batch(
+  /// scenarios, start, end_time), end_time) — per-cell counts are small
+  /// integers, exact in a double, so the summation order is immaterial.
+  /// Under kStep, scenarios the solution-mask memo holds for (start,
+  /// end_time) are read from it (counted as cache hits) instead of being
+  /// simulated again.
+  Grid<double> burn_probability(const std::vector<firelib::Scenario>& scenarios,
+                                const firelib::IgnitionMap& start,
+                                double end_time);
+
   /// Fitness batch: Eq. (3) of each scenario's simulated map at end_time
   /// against `target`, excluding cells burned in `target` by start_time.
   std::vector<double> fitness_batch(
@@ -229,6 +270,11 @@ class SimulationService {
   std::vector<SimulationResult> run_batch_shared(
       const std::vector<SimulationRequest>& requests);
   void clear_step_cache();
+  /// Offer a fitness simulation's mask to the memo (master thread).
+  void offer_solution_mask(const cache::ScenarioKey& key, double fitness,
+                           std::vector<std::uint64_t>&& mask);
+  /// Fitness a result must beat for its mask to enter the memo now.
+  double solution_mask_floor() const;
 
   const firelib::FireEnvironment* env_;
   firelib::FireSpreadModel spread_model_;
@@ -261,6 +307,20 @@ class SimulationService {
   /// scenarios; contexts are short-lived, so this is a memory backstop, not
   /// an eviction policy. Saturation shows up in cache_insertions_rejected.
   std::size_t step_cache_capacity_ = 1 << 16;
+
+  // kStep solution-mask memo: simulation context it holds masks for, and
+  // at most memo_capacity_ entries, kept in insertion order.
+  struct SolutionMask {
+    cache::ScenarioKey key;
+    double fitness = 0.0;
+    std::vector<std::uint64_t> bits;
+  };
+  const firelib::IgnitionMap* memo_start_ = nullptr;
+  std::uint64_t memo_start_fingerprint_ = 0;
+  double memo_end_time_ = 0.0;
+  std::vector<SolutionMask> memo_;
+  std::size_t memo_capacity_ = 0;
+  std::size_t memo_bytes_ = 0;
 
   // kShared state.
   std::shared_ptr<cache::SharedScenarioCache> shared_cache_;

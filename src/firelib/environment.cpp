@@ -1,5 +1,9 @@
 #include "firelib/environment.hpp"
 
+#include <atomic>
+#include <cmath>
+#include <string>
+
 #include "common/error.hpp"
 
 namespace essns::firelib {
@@ -26,8 +30,24 @@ void FireEnvironment::set_topography(Grid<double> slope_deg,
   ESSNS_REQUIRE(slope_deg.rows() == rows_ && slope_deg.cols() == cols_ &&
                     aspect_deg.rows() == rows_ && aspect_deg.cols() == cols_,
                 "topography dimensions must match environment");
+  // Checked here, where the grids enter, rather than in the sweep: the DEM
+  // fast path only evaluates a cell's slope terms when it can still spread
+  // to a neighbour, so a bad cell could otherwise go unnoticed.
+  for (int r = 0; r < rows_; ++r) {
+    for (int c = 0; c < cols_; ++c) {
+      const double slope = slope_deg(r, c);
+      const double aspect = aspect_deg(r, c);
+      ESSNS_REQUIRE(slope >= 0.0 && slope < 90.0 && std::isfinite(aspect),
+                    "topography at row " + std::to_string(r) + ", column " +
+                        std::to_string(c) +
+                        " needs a slope in [0, 90) degrees and a finite "
+                        "aspect");
+    }
+  }
+  static std::atomic<std::uint64_t> next_topography_id{1};
   slope_ = std::move(slope_deg);
   aspect_ = std::move(aspect_deg);
+  topography_id_ = next_topography_id.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace essns::firelib

@@ -9,6 +9,7 @@
 // search the 9-parameter scenario space.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 
 #include "common/grid.hpp"
@@ -25,6 +26,9 @@ class FireEnvironment {
   void set_fuel_map(Grid<std::uint8_t> fuel);
 
   /// Per-cell topography overriding the scenario's slope/aspect (degrees).
+  /// Every slope must lie in [0, 90) and every aspect must be finite; the
+  /// first bad cell is named by row and column. Stamps a fresh
+  /// topography_id().
   void set_topography(Grid<double> slope_deg, Grid<double> aspect_deg);
 
   int rows() const { return rows_; }
@@ -33,6 +37,12 @@ class FireEnvironment {
 
   bool has_fuel_map() const { return fuel_.has_value(); }
   bool has_topography() const { return slope_.has_value(); }
+
+  /// Process-unique identity of the topography grids (0: none). Copies
+  /// share it — the grids are immutable once set — so per-topography
+  /// caches (PropagationWorkspace's slope terms) key on it instead of on
+  /// the environment's address.
+  std::uint64_t topography_id() const { return topography_id_; }
 
   /// Catalog number at (r, c) given the active scenario.
   int fuel_model_at(int r, int c, const Scenario& scenario) const {
@@ -60,6 +70,7 @@ class FireEnvironment {
   std::optional<Grid<std::uint8_t>> fuel_;
   std::optional<Grid<double>> slope_;
   std::optional<Grid<double>> aspect_;
+  std::uint64_t topography_id_ = 0;
 };
 
 }  // namespace essns::firelib

@@ -57,11 +57,6 @@ constexpr double kSqrt2 = 1.41421356237309504880;
 
 constexpr std::int32_t kNilEntry = -1;
 
-// Per-cell travel-row states of the DEM fast path.
-constexpr std::uint8_t kRowUnbuilt = 0;
-constexpr std::uint8_t kRowSpreads = 1;
-constexpr std::uint8_t kRowNoSpread = 2;
-
 // ---------------------------------------------------------------------------
 // Sweep queues. Both disciplines expose push(time, cell) + drain(relax) and
 // produce bit-identical ignition maps: the sweep's result is the unique fixed
@@ -288,8 +283,10 @@ void PropagationWorkspace::prefault(int rows, int cols) {
   else
     times_.fill(kNeverIgnited);
   cell_epoch_.assign(cells, 0);
-  cell_travel_.assign(cells, TravelRow{});
-  cell_row_state_.assign(cells, kRowUnbuilt);
+  // The slope terms are written through but not valid for any topography,
+  // so the next DEM sweep rebuilds them in place (same size, same pages).
+  slope_terms_.assign(cells, SlopeTerms{0.0, 0.0});
+  slope_topography_ = 0;
 
   // Queue storage. The heap and dial arenas are capacity-only in steady
   // state, so commit their pages with a throwaway fill, then clear — the
@@ -454,12 +451,11 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
     }
   };
 
-  // Fast paths: every popped cell relaxes through an 8-direction
-  // travel-time row (arrival = top.time + row[k]; a direction the fuel
-  // does not spread toward holds kNeverIgnited, which no finite horizon
-  // admits). Uniform topography shares one row per fuel model; per-cell
-  // topography builds one row per cell. `row_of` returns the popped
-  // cell's row, or null when the cell does not spread.
+  // Uniform fast path: every popped cell relaxes through its fuel model's
+  // 8-direction travel-time row (arrival = top.time + row[k]; a direction
+  // the fuel does not spread toward holds kNeverIgnited, which no finite
+  // horizon admits). `row_of` returns the popped cell's row, or null when
+  // the cell does not spread.
   //
   // Runtime-dispatched relax kernel: interior cells take the AVX2 8-lane
   // kernel when the --simd mode resolves to it; border cells (and every
@@ -613,40 +609,68 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
   } else {
     // Fast path, per-cell topography: the part of the behavior that depends
     // only on (fuel, moisture, wind speed) is built once per fuel model per
-    // sweep; each cell runs only the slope/wind tail, at its first pop,
-    // straight into its travel-time row.
+    // sweep, and each cell's slope terms once per topography (the
+    // workspace's slope_terms_). A popped cell runs the rest of Rothermel —
+    // its slope/wind tail — only once some neighbour can still be improved,
+    // and computes a direction's rate only for such a neighbour. A
+    // neighbour with t[n] <= time is never admitted (arrival = time +
+    // step / rate >= time), so skipping it changes no store and no push.
+    if (workspace.slope_topography_ != env.topography_id() ||
+        workspace.slope_terms_.size() != cells) {
+      workspace.slope_terms_.resize(cells);
+      for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < cols; ++c) {
+          workspace.slope_terms_[times.index_of(r, c)] = {
+              units::slope_degrees_to_ratio(env.slope_deg_at(r, c, scenario)),
+              std::fmod(env.aspect_deg_at(r, c, scenario) + 180.0, 360.0)};
+        }
+      }
+      workspace.slope_topography_ = env.topography_id();
+    }
+    const PropagationWorkspace::SlopeTerms* slope_terms =
+        workspace.slope_terms_.data();
     std::array<FuelSweepState, 14> states;
     std::array<bool, 14> state_ready{};
-    workspace.cell_row_state_.assign(cells, kRowUnbuilt);
-    if (workspace.cell_travel_.size() != cells)
-      workspace.cell_travel_.resize(cells);
-    std::uint8_t* row_state = workspace.cell_row_state_.data();
-    PropagationWorkspace::TravelRow* cell_rows =
-        workspace.cell_travel_.data();
 
-    relax_rows([&](std::size_t cell_idx, int r, int c) -> const double* {
-      if (row_state[cell_idx] == kRowUnbuilt) {
-        row_state[cell_idx] = kRowNoSpread;
-        const int cell_fuel =
-            fuel ? static_cast<int>(fuel[cell_idx]) : scenario.model;
-        if (cell_fuel > 0) {
+    sweep_with([&](double time, std::size_t cell_idx, auto& queue) {
+      const int cell_fuel =
+          fuel ? static_cast<int>(fuel[cell_idx]) : scenario.model;
+      if (cell_fuel <= 0) return;
+      const int r =
+          static_cast<int>(cell_idx / static_cast<std::size_t>(cols));
+      const int c =
+          static_cast<int>(cell_idx % static_cast<std::size_t>(cols));
+      FireBehavior behavior;
+      bool tail_done = false;
+      for (std::size_t k = 0; k < kEightNeighbours.size(); ++k) {
+        const int nr = r + kEightNeighbours[k].row;
+        const int nc = c + kEightNeighbours[k].col;
+        if (nr < 0 || nr >= rows || nc < 0 || nc >= cols) continue;
+        const std::size_t nidx = static_cast<std::size_t>(nr) *
+                                     static_cast<std::size_t>(cols) +
+                                 static_cast<std::size_t>(nc);
+        if (t[nidx] <= time) continue;
+        if (fuel && fuel[nidx] == 0) continue;
+        if (!tail_done) {
+          tail_done = true;
           auto idx = static_cast<std::size_t>(cell_fuel);
           if (!state_ready[idx]) {
             states[idx] = model_->sweep_state(cell_fuel, moisture, wind_fpm);
             state_ready[idx] = true;
           }
-          const FireBehavior behavior = compute_cell_behavior(
-              states[idx], scenario.wind_dir,
-              units::slope_degrees_to_ratio(env.slope_deg_at(r, c, scenario)),
-              std::fmod(env.aspect_deg_at(r, c, scenario) + 180.0, 360.0));
-          if (behavior.spread_rate_max > 0.0) {
-            fill_row(behavior, cell_rows[cell_idx].data());
-            row_state[cell_idx] = kRowSpreads;
-          }
+          behavior = compute_cell_behavior(states[idx], scenario.wind_dir,
+                                           slope_terms[cell_idx].ratio,
+                                           slope_terms[cell_idx].upslope_deg);
+          if (behavior.spread_rate_max <= 0.0) return;
+        }
+        const double rate = behavior.spread_rate_at(kNeighbourAzimuth[k]);
+        if (rate <= 0.0) continue;
+        const double arrival = time + step_ft[k] / rate;
+        if (arrival < t[nidx] && arrival <= horizon_min) {
+          t[nidx] = arrival;
+          queue.push(arrival, nidx);
         }
       }
-      return row_state[cell_idx] == kRowSpreads ? cell_rows[cell_idx].data()
-                                                : nullptr;
     });
   }
 

@@ -48,17 +48,20 @@ enum class SweepQueue { kHeap, kDial };
 /// allocations across simulations — each worker of the batched
 /// SimulationService owns one and reuses it for every simulation it runs.
 /// Results are bit-identical to workspace-free calls; a workspace carries no
-/// state between calls other than capacity.
+/// state between calls other than capacity and caches of pure functions of
+/// their keys.
 ///
 /// Hot per-cell state is kept in cache-line-aligned structure-of-arrays
 /// slabs (AlignedVector) so the uniform and DEM fast paths walk contiguous
-/// aligned memory. Both fast paths relax a popped cell through a 64-byte
-/// row of eight directional travel times (arrival = top.time + row[k]):
+/// aligned memory:
 ///  - cell_epoch_: per-cell push epoch, the dial queue's staleness check;
-///  - travel_time_: 14x8 per-model rows for uniform topography;
-///  - cell_travel_ / cell_row_state_: DEM runs' per-cell rows, built at a
-///    cell's first pop from a once-per-fuel FuelSweepState plus the cell's
-///    slope tail.
+///  - travel_time_: 14x8 per-model rows of eight directional travel times
+///    for uniform topography (arrival = top.time + row[k]);
+///  - slope_terms_: DEM runs' per-cell slope ratio and upslope azimuth,
+///    built once per topography (FireEnvironment::topography_id) and
+///    reused by every sweep over it. A DEM cell runs its Rothermel tail
+///    from a once-per-fuel FuelSweepState plus these terms, and only when
+///    a neighbour can still be improved.
 /// Fuel codes are read as a flat slab too, straight from the environment's
 /// grid (every Grid buffer is cache-line aligned) — no per-sweep copy.
 class PropagationWorkspace {
@@ -76,7 +79,7 @@ class PropagationWorkspace {
   const IgnitionMap& last_map() const { return times_; }
 
   /// Size and write through every slab a rows x cols sweep will touch
-  /// (times, epochs, dial buckets and arena, heap, DEM travel rows), so
+  /// (times, epochs, dial buckets and arena, heap, DEM slope terms), so
   /// the backing pages are committed from the calling thread. NUMA-aware
   /// placement calls this from the pinned owning worker at startup: under
   /// Linux's default first-touch policy all hot memory then lives on the
@@ -141,11 +144,18 @@ class PropagationWorkspace {
   /// Cache-line aligned so each 64-byte row feeds the AVX2 relax kernel's
   /// aligned loads (relax_kernel.hpp relies on this).
   alignas(kCacheLineBytes) std::array<TravelRow, 14> travel_time_{};
-  /// DEM runs: per-cell directional travel times, built at a cell's first
-  /// pop (cell_row_state_ says whether a row is built and spreads). One
-  /// 64-byte row per cell, so every row is aligned for the relax kernel.
-  AlignedVector<TravelRow> cell_travel_;
-  AlignedVector<std::uint8_t> cell_row_state_;
+  /// A DEM cell's slope terms, exactly as the Rothermel tail takes them:
+  /// tan(slope) and the upslope azimuth fmod(aspect + 180, 360).
+  struct SlopeTerms {
+    double ratio;
+    double upslope_deg;
+  };
+  /// DEM runs: per-cell slope terms of the topography slope_topography_
+  /// names (0: none built). Rebuilt when a sweep brings another topography
+  /// or other dimensions; 16 B/cell, per workspace rather than per
+  /// environment, so catalogs of many environments pay nothing extra.
+  AlignedVector<SlopeTerms> slope_terms_;
+  std::uint64_t slope_topography_ = 0;
 };
 
 class FirePropagator {
@@ -192,12 +202,13 @@ class FirePropagator {
   void set_sweep_queue(SweepQueue queue) { queue_ = queue; }
   SweepQueue sweep_queue() const { return queue_; }
 
-  /// Select the relax kernel (default simd::Mode::kAuto): the fast paths'
-  /// inner loop (uniform and DEM alike, interior cells) runs the AVX2
-  /// 8-lane kernel when the mode resolves to it, the scalar oracle
-  /// otherwise. Bit-identical either way (relax_kernel.hpp); requesting
-  /// avx2 on a host without it falls back to scalar. Border cells and the
-  /// reference sweep always run scalar.
+  /// Select the relax kernel (default simd::Mode::kAuto): the uniform fast
+  /// path's inner loop (interior cells) runs the AVX2 8-lane kernel when the
+  /// mode resolves to it, the scalar oracle otherwise. Bit-identical either
+  /// way (relax_kernel.hpp); requesting avx2 on a host without it falls
+  /// back to scalar. Border cells, DEM sweeps (which compute a direction's
+  /// rate only for the neighbours it can still improve) and the reference
+  /// sweep always run scalar.
   void set_simd_mode(simd::Mode mode) {
     simd_mode_ = mode;
     simd_isa_ = simd::resolve(mode);

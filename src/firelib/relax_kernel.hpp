@@ -7,8 +7,9 @@
 //               && arrival_k <= horizon
 //
 // over cache-line-aligned SoA slabs, where travel_time is the popped
-// cell's row: its fuel model's row on uniform topography, its own row on
-// per-cell (DEM) topography. The kernels below evaluate all eight lanes at
+// cell's fuel model's row on uniform topography. (DEM sweeps relax scalar:
+// they compute a direction's travel time only for the neighbours a cell
+// can still improve.) The kernels below evaluate all eight lanes at
 // once and hand the caller an admission bitmask plus the eight arrival
 // times; the caller applies the surviving lanes in ascending-k order, so
 // stores and queue pushes happen in exactly the scalar loop's order. Both
@@ -76,8 +77,7 @@ inline unsigned relax8_candidates_scalar(const double* travel_time,
 /// two vector adds produce the arrivals, and ordered compares against the
 /// neighbour times and the horizon fold into one admission mask. The
 /// travel-time row is loaded with aligned loads — PropagationWorkspace
-/// stores rows in 64-byte-aligned slabs (one 64-byte row per fuel model or
-/// per DEM cell).
+/// stores rows in a 64-byte-aligned table (one 64-byte row per fuel model).
 /// Same-lane IEEE arithmetic as the scalar kernel, bit for bit.
 __attribute__((target("avx2,fma"))) inline unsigned relax8_candidates_avx2(
     const double* travel_time, const double* times, const std::uint8_t* fuel,

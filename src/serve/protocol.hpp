@@ -12,17 +12,20 @@
 //
 //   predict    — predict a NEW fire and start tracking it under `id`
 //     id=<name>            required; must not already be tracked
-//     terrain=plains|hills|rugged        size=<n >= 16>
+//     terrain=plains|hills|rugged        size=<16..1024>
 //     weather=steady|wind_shift|diurnal  ignition=center|offset|edge|corner
-//     seed=<u64>           steps=<n >= 2>   step_minutes=<f>   noise=<f>
-//     method=<run-spec method>  generations=<n>  fitness_threshold=<f>
-//     population=<n>  offspring=<n>  novelty_k=<n>  islands=<n>
+//     seed=<u64>           steps=<2..64>    step_minutes=<f>   noise=<f>
+//     method=<run-spec method>  generations=<1..1000>  fitness_threshold=<f>
+//     population=<1..4096>  offspring=<1..4096>  novelty_k=<1..1024>
+//     islands=<1..64>
 //     priority=<int>       (higher runs sooner)
-//     All optional keys default to the server's configuration.
+//     All optional keys default to the server's configuration. The
+//     integer ranges bound what one request can ask for (size=100000
+//     would be an 80 GB grid); <f> is any finite number.
 //
 //   repredict  — re-predict the tracked fire `id` at a later interval
 //     id=<name>            required; must be tracked
-//     steps=<n>            new horizon (>= 2); omitted = same horizon
+//     steps=<2..64>        new horizon; omitted = same horizon
 //     priority=<int>
 //     Same workload, same seed: the ground-truth prefix is unchanged, so
 //     the engine's shared cache serves the earlier steps warm — the

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/error.hpp"
 #include "ess/essim.hpp"
 #include "synth/workloads.hpp"
@@ -251,6 +253,60 @@ TEST_F(PipelineTest, CacheCountersDeterministicAcrossWorkerCounts) {
   }
   EXPECT_EQ(rs.total_cache_hits(), rp.total_cache_hits());
   EXPECT_EQ(rs.total_cache_misses(), rp.total_cache_misses());
+}
+
+TEST_F(PipelineTest, HillsResultsIdenticalAcrossCachePoliciesAndWorkers) {
+  // The SS reads the OS's burned sets under kStep, the shared map cache
+  // under kShared and re-simulates under kOff: every policy and worker
+  // count must give the same qualities, Kign values and probability grids,
+  // with cache hits that do not depend on the worker count.
+  const synth::Workload hills = synth::make_hills(32);
+  Rng truth_rng(9);
+  const synth::GroundTruth truth = synth::generate_ground_truth(
+      hills.environment, hills.truth_config, truth_rng);
+  core::NsGaConfig ns;
+  ns.population_size = 8;
+  ns.offspring_count = 8;
+
+  std::optional<PipelineResult> baseline;
+  std::optional<Grid<double>> baseline_probability;
+  for (const cache::CachePolicy policy :
+       {cache::CachePolicy::kOff, cache::CachePolicy::kStep,
+        cache::CachePolicy::kShared}) {
+    std::vector<std::size_t> hits;
+    for (const unsigned workers : {1u, 4u}) {
+      SCOPED_TRACE(std::string(cache::to_string(policy)) + " workers " +
+                   std::to_string(workers));
+      PipelineConfig config = config_;
+      config.stop = {4, 0.95};
+      config.max_solution_maps = 6;
+      config.cache_policy = policy;
+      config.workers = workers;
+      PredictionPipeline pipeline(hills.environment, truth, config);
+      NsGaOptimizer optimizer(ns);
+      Rng rng(21);
+      const PipelineResult result = pipeline.run(optimizer, rng);
+      hits.push_back(result.total_cache_hits());
+      if (!baseline) {
+        baseline = result;
+        baseline_probability = pipeline.last_probability();
+        continue;
+      }
+      ASSERT_EQ(result.steps.size(), baseline->steps.size());
+      for (std::size_t i = 0; i < result.steps.size(); ++i) {
+        EXPECT_EQ(result.steps[i].kign, baseline->steps[i].kign);
+        EXPECT_EQ(result.steps[i].calibration_fitness,
+                  baseline->steps[i].calibration_fitness);
+        EXPECT_EQ(result.steps[i].prediction_quality,
+                  baseline->steps[i].prediction_quality);
+      }
+      EXPECT_EQ(pipeline.last_probability(), *baseline_probability);
+    }
+    EXPECT_EQ(hits[0], hits[1]);
+    if (policy != cache::CachePolicy::kOff) {
+      EXPECT_GT(hits[0], 0u);
+    }
+  }
 }
 
 TEST_F(PipelineTest, StageTimingsCoverTheStep) {

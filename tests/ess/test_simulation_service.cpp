@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/error.hpp"
 #include "ess/fitness.hpp"
+#include "ess/statistical.hpp"
 #include "obs/metrics.hpp"
 #include "synth/ground_truth.hpp"
 #include "synth/workloads.hpp"
@@ -391,6 +395,123 @@ TEST_F(SimulationServiceTest, StepCacheSaturationIsObservable) {
   // Hit/miss accounting is unchanged by saturation (bit-for-bit contract).
   EXPECT_EQ(service.cache_misses(), scenarios_.size());
   EXPECT_EQ(service.cache_evictions(), 0u);  // step mode never evicts
+}
+
+TEST_F(SimulationServiceTest, StatisticalStageReusesOsSweeps) {
+  // Under kStep the service keeps the burned sets of the K best fitness
+  // simulations of an interval, so the SS's burn_probability over them
+  // runs no sweep — and still equals the uncached aggregation bit for bit.
+  constexpr std::size_t kTop = 3;
+  const firelib::IgnitionMap& start = truth_.fire_lines[0];
+  const double end = truth_.step_minutes;
+  SimulationService uncached(workload_.environment, 1);
+  uncached.set_cache_policy(cache::CachePolicy::kOff);
+  const auto aggregate = [&](const std::vector<firelib::Scenario>& set) {
+    return aggregate_probability(uncached.simulate_batch(set, start, end),
+                                 end);
+  };
+
+  std::vector<std::size_t> hits_by_workers;
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    SimulationService service(workload_.environment, workers);
+    service.set_solution_memo_capacity(kTop);
+    const std::vector<double> fitness = service.fitness_batch(
+        scenarios_, start, truth_.fire_lines[1], 0.0, end);
+    EXPECT_EQ(service.solution_memo_entries(), kTop);
+    EXPECT_GE(service.cache_bytes(),
+              kTop * workload_.environment.rows() *
+                  workload_.environment.cols() / 8);
+
+    // The K best, ties to the earlier request — what the memo keeps.
+    std::vector<std::size_t> order(scenarios_.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return fitness[a] > fitness[b];
+                     });
+    ASSERT_GT(fitness[order[kTop - 1]], fitness[order[kTop]])
+        << "pick scenarios without a tie at the memo's cut";
+    std::vector<firelib::Scenario> best;
+    for (std::size_t i = 0; i < kTop; ++i)
+      best.push_back(scenarios_[order[i]]);
+
+    const std::size_t runs_before = service.simulations_run();
+    const std::size_t hits_before = service.cache_hits();
+    EXPECT_EQ(service.burn_probability(best, start, end), aggregate(best));
+    EXPECT_EQ(service.simulations_run(), runs_before);
+    EXPECT_EQ(service.cache_hits() - hits_before, kTop);
+
+    // A scenario outside the top K is simulated; so is the same set over
+    // another interval.
+    const std::vector<firelib::Scenario> outside{scenarios_[order[kTop]],
+                                                 best.front()};
+    EXPECT_EQ(service.burn_probability(outside, start, end),
+              aggregate(outside));
+    EXPECT_EQ(service.simulations_run(), runs_before + 1);
+    const std::vector<firelib::Scenario> longer{best.front()};
+    EXPECT_EQ(service.burn_probability(longer, start, 2.0 * end),
+              aggregate_probability(
+                  uncached.simulate_batch(longer, start, 2.0 * end),
+                  2.0 * end));
+    EXPECT_EQ(service.simulations_run(), runs_before + 2);
+
+    // A second fitness batch over the same interval with a new target keeps
+    // the memo (it is scoped to the simulation, not the score) and never
+    // grows it past K.
+    service.fitness_batch(scenarios_, start, truth_.fire_lines[2], 0.0, end);
+    EXPECT_EQ(service.solution_memo_entries(), kTop);
+    const std::size_t runs_after = service.simulations_run();
+    EXPECT_EQ(service.burn_probability(best, start, end), aggregate(best));
+    EXPECT_EQ(service.simulations_run(), runs_after);
+    hits_by_workers.push_back(service.cache_hits());
+  }
+  EXPECT_EQ(hits_by_workers[0], hits_by_workers[1]);
+
+  // kOff memoizes nothing; kShared serves the SS from its map cache.
+  for (const cache::CachePolicy policy :
+       {cache::CachePolicy::kOff, cache::CachePolicy::kShared}) {
+    SCOPED_TRACE(cache::to_string(policy));
+    SimulationService service(workload_.environment, 2);
+    service.set_cache_policy(policy);
+    service.set_solution_memo_capacity(kTop);
+    service.fitness_batch(scenarios_, start, truth_.fire_lines[1], 0.0, end);
+    EXPECT_EQ(service.solution_memo_entries(), 0u);
+    EXPECT_EQ(service.burn_probability(scenarios_, start, end),
+              aggregate(scenarios_));
+  }
+}
+
+TEST_F(SimulationServiceTest, SolutionMemoEvictsTheLowestFitness) {
+  // Batches arrive one scenario at a time, so the memo sees every offer:
+  // it must end up holding exactly the K best over the interval. Most of
+  // these scenarios score 0, so the cut falls inside a tie, which keeps
+  // the earlier requests.
+  constexpr std::size_t kTop = 6;
+  const firelib::IgnitionMap& start = truth_.fire_lines[0];
+  const double end = truth_.step_minutes;
+  SimulationService service(workload_.environment, 1);
+  service.set_solution_memo_capacity(kTop);
+  std::vector<double> fitness;
+  for (const firelib::Scenario& scenario : scenarios_)
+    fitness.push_back(service.fitness_batch({scenario}, start,
+                                            truth_.fire_lines[1], 0.0, end)
+                          .front());
+  EXPECT_EQ(service.solution_memo_entries(), kTop);
+  std::vector<std::size_t> order(scenarios_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    return fitness[a] > fitness[b];
+  });
+  ASSERT_EQ(fitness[order[kTop - 1]], fitness[order[kTop]])
+      << "the cut should fall inside a tie";
+  for (std::size_t rank = 0; rank < scenarios_.size(); ++rank) {
+    const std::size_t runs_before = service.simulations_run();
+    service.burn_probability({scenarios_[order[rank]]}, start, end);
+    EXPECT_EQ(service.simulations_run() - runs_before, rank < kTop ? 0u : 1u)
+        << "rank " << rank;
+  }
 }
 
 TEST_F(SimulationServiceTest, ReferenceKernelsMatchFastKernels) {

@@ -46,6 +46,56 @@ FireEnvironment heterogeneous_env(int size) {
   return env;
 }
 
+FireEnvironment ridge_env(int size) {
+  FireEnvironment env(size, size, 100.0);
+  Grid<double> slope(size, size, 0.0);
+  Grid<double> aspect(size, size, 0.0);
+  for (int r = 0; r < size; ++r) {
+    for (int c = 0; c < size; ++c) {
+      slope(r, c) = (r * 7 + c * 3) % 55;
+      aspect(r, c) = c < size / 2 ? 90.0 : 270.0;
+    }
+  }
+  env.set_topography(std::move(slope), std::move(aspect));
+  return env;
+}
+
+TEST(PropagationWorkspaceTest, SlopeTermsFollowTheTopography) {
+  // One workspace keeps per-cell slope terms of the last DEM it swept. It
+  // must rebuild them for another topography of the same size, keep them
+  // for a copy of the same environment, ignore them on uniform terrain and
+  // rebuild them for other dimensions — every map bit-equal to a fresh
+  // workspace's.
+  const FireSpreadModel model;
+  const FirePropagator propagator(model);
+  const FireEnvironment hills = heterogeneous_env(24);
+  const FireEnvironment ridge = ridge_env(24);
+  const FireEnvironment hills_copy = hills;
+  const FireEnvironment flat(24, 24, 100.0);
+  const FireEnvironment small_ridge = ridge_env(16);
+  const std::vector<const FireEnvironment*> order{
+      &hills, &ridge, &hills_copy, &flat, &hills, &small_ridge, &ridge};
+
+  PropagationWorkspace workspace;
+  for (const Scenario& scenario : {windy_scenario(), calm_scenario()}) {
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      SCOPED_TRACE(i);
+      const FireEnvironment& env = *order[i];
+      const std::vector<CellIndex> ignition{{env.rows() / 2, env.cols() / 2}};
+      const IgnitionMap fresh =
+          propagator.propagate(env, scenario, ignition, 150.0);
+      const IgnitionMap& reused =
+          propagator.propagate(env, scenario, ignition, 150.0, workspace);
+      EXPECT_EQ(fresh, reused);
+    }
+  }
+  // The two same-size DEMs must give different fires, or the alternation
+  // above could not notice stale slope terms.
+  const std::vector<CellIndex> centre{{12, 12}};
+  EXPECT_NE(propagator.propagate(hills, windy_scenario(), centre, 150.0),
+            propagator.propagate(ridge, windy_scenario(), centre, 150.0));
+}
+
 TEST(PropagationWorkspaceTest, PointIgnitionMatchesFreshPropagation) {
   const FireSpreadModel model;
   const FirePropagator propagator(model);

@@ -6,9 +6,11 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "firelib/environment.hpp"
 #include "firelib/propagator.hpp"
 #include "firelib/scenario.hpp"
+#include "obs/metrics.hpp"
 
 namespace essns::firelib {
 namespace {
@@ -27,8 +29,8 @@ FireEnvironment fuel_mosaic_env(int size) {
   return env;
 }
 
-FireEnvironment dem_env(int size, bool with_fuel) {
-  FireEnvironment env(size, size, 100.0);
+FireEnvironment dem_env(int size, bool with_fuel, double cell_ft = 100.0) {
+  FireEnvironment env(size, size, cell_ft);
   Grid<double> slope(size, size, 0.0);
   Grid<double> aspect(size, size, 0.0);
   for (int r = 0; r < size; ++r)
@@ -109,6 +111,61 @@ TEST(PropagatorFastPathTest, ContinuationFromMapMatchesReference) {
               reference.propagate(env, second, start, 180.0))
         << "trial " << trial;
   }
+}
+
+TEST(PropagatorFastPathTest, DemRepopsMatchReferenceAcrossQueuesAndSimd) {
+  // A seed map that is not a fixed point of the sweep: a third of the
+  // cells are sources with random times, so most are reached earlier than
+  // seeded and re-pushed. With 5 ft cells a crossing takes less than a
+  // dial bucket's width, so the dial queue (which drains a bucket's
+  // arrivals out of time order) pops some cells twice. The DEM fast path
+  // runs a cell's tail at every pop that can still improve a neighbour,
+  // and must match the reference sweep under every queue and kernel.
+  const FireSpreadModel model;
+  const FireEnvironment env = dem_env(24, /*with_fuel=*/true, /*cell_ft=*/5.0);
+  const auto& space = ScenarioSpace::table1();
+  Rng rng(99);
+  std::uint64_t repopped_sweeps = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    const Scenario scenario = space.sample(rng);
+    IgnitionMap initial(env.rows(), env.cols(), kNeverIgnited);
+    for (double& t : initial)
+      if (rng.bernoulli(0.33)) t = rng.uniform(0.0, 600.0);
+    const double horizon = rng.uniform(300.0, 900.0);
+
+    for (const SweepQueue queue : {SweepQueue::kHeap, SweepQueue::kDial}) {
+      FirePropagator reference(model);
+      reference.set_reference_sweep(true);
+      reference.set_sweep_queue(queue);
+      const IgnitionMap want =
+          reference.propagate(env, scenario, initial, horizon);
+      for (const simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kAvx2}) {
+        if (mode == simd::Mode::kAvx2 && !simd::cpu_supports_avx2()) continue;
+        SCOPED_TRACE(std::string("trial ") + std::to_string(trial) +
+                     (queue == SweepQueue::kDial ? " dial " : " heap ") +
+                     simd::to_string(mode));
+        FirePropagator fast(model);
+        fast.set_sweep_queue(queue);
+        fast.set_simd_mode(mode);
+        obs::MetricsRegistry* const previous = obs::metrics_registry();
+        obs::MetricsRegistry registry;
+        obs::install_metrics_registry(&registry);
+        PropagationWorkspace workspace;
+        const IgnitionMap& got =
+            fast.propagate(env, scenario, initial, horizon, workspace);
+        obs::install_metrics_registry(previous);
+        ASSERT_EQ(got, want);
+
+        std::uint64_t reached = 0;
+        for (const double t : got) reached += t < kNeverIgnited;
+        const std::uint64_t popped =
+            registry.snapshot().counters.at("sweep.cells_popped");
+        EXPECT_GE(popped, reached);
+        repopped_sweeps += popped > reached;
+      }
+    }
+  }
+  EXPECT_GT(repopped_sweeps, 0u) << "no sweep popped a cell twice";
 }
 
 TEST(PropagatorFastPathTest, RejectsOutOfCatalogFuelCodes) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace essns::serve {
@@ -69,6 +71,28 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
                InvalidArgument);  // fire params are predict-only
   EXPECT_THROW(parse_request("predict id=f1 size=8"), InvalidArgument);
   EXPECT_THROW(parse_request("predict id=f1 steps=1"), InvalidArgument);
+  // Upper bounds: no single request may ask for unbounded memory or work.
+  // Each bound itself is accepted; one past it names the key and value.
+  const std::pair<const char*, int> bounds[] = {
+      {"size", 1024},      {"steps", 64},       {"generations", 1000},
+      {"population", 4096}, {"offspring", 4096}, {"novelty_k", 1024},
+      {"islands", 64}};
+  for (const auto& [key, bound] : bounds) {
+    const std::string prefix = std::string("predict id=f1 ") + key + "=";
+    EXPECT_NO_THROW(parse_request(prefix + std::to_string(bound))) << key;
+    for (const std::string& value :
+         {std::to_string(bound + 1), std::string("100000")}) {
+      try {
+        parse_request(prefix + value);
+        ADD_FAILURE() << "accepted " << key << "=" << value;
+      } catch (const InvalidArgument& error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find(key), std::string::npos) << message;
+        EXPECT_NE(message.find(value), std::string::npos) << message;
+      }
+    }
+  }
+  EXPECT_THROW(parse_request("repredict id=f1 steps=65"), InvalidArgument);
   EXPECT_THROW(parse_request("predict id=f1 seed=abc"), InvalidArgument);
   EXPECT_THROW(parse_request("predict id=f1 terrain=swamp"),
                InvalidArgument);
