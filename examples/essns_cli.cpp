@@ -15,6 +15,7 @@
 #include <string>
 
 #include "cache/cache_io.hpp"
+#include "common/limits.hpp"
 #include "common/parse.hpp"
 #include "common/table.hpp"
 #include "ess/config.hpp"
@@ -54,7 +55,7 @@ void print_help() {
       "                   every policy:\n"
       "                     off     no memoization\n"
       "                     step    per-step cache, wiped every prediction\n"
-      "                             step (default; legacy spelling: on)\n"
+      "                             step (default)\n"
       "                     shared  one byte-bounded cache kept across steps\n"
       "                             and shared by all concurrent jobs\n"
       "    --cache-mem M  shared-cache byte budget in MiB (default 256;\n"
@@ -151,11 +152,12 @@ bool is_catalog_key(const std::string& key) {
 }
 
 // Strict flag parsing on top of common/parse.hpp: reject, report, exit.
-int require_positive_int(const char* flag, const std::string& value) {
-  const auto v = parse_int(value);
-  if (!v || *v < 1) {
-    std::fprintf(stderr, "%s expects a positive integer, got '%s'\n", flag,
-                 value.c_str());
+// Upper bounds come from common/limits.hpp, shared with serve's protocol.
+int require_int(const char* flag, const std::string& value, int hi) {
+  const auto v = limits::parse_int_in(value, 1, hi);
+  if (!v) {
+    std::fprintf(stderr, "%s expects an integer in [1, %d], got '%s'\n", flag,
+                 hi, value.c_str());
     std::exit(1);
   }
   return *v;
@@ -245,17 +247,17 @@ int run_campaign(int argc, char** argv) {
       }
       const char* value = argv[++i];
       if (arg == "--jobs") {
-        config.job_concurrency =
-            static_cast<unsigned>(require_positive_int("--jobs", value));
+        config.job_concurrency = static_cast<unsigned>(
+            require_int("--jobs", value, limits::kMaxJobs));
       } else if (arg == "--workers") {
-        config.total_workers =
-            static_cast<unsigned>(require_positive_int("--workers", value));
+        config.total_workers = static_cast<unsigned>(
+            require_int("--workers", value, limits::kMaxWorkers));
       } else if (arg == "--cache") {
         config.cache_policy = require_cache_policy("--cache", value);
       } else if (arg == "--cache-mem") {
         config.cache_mem_bytes =
             static_cast<std::size_t>(
-                require_positive_int("--cache-mem", value))
+                require_int("--cache-mem", value, limits::kMaxCacheMemMiB))
             << 20;
       } else if (arg == "--cache-load") {
         cache_load_path = value;
@@ -270,8 +272,8 @@ int run_campaign(int argc, char** argv) {
       } else if (arg == "--metrics-out") {
         config.metrics_out = std::strcmp(value, "none") == 0 ? "" : value;
       } else if (arg == "--shards") {
-        shards =
-            static_cast<unsigned>(require_positive_int("--shards", value));
+        shards = static_cast<unsigned>(
+            require_int("--shards", value, limits::kMaxShards));
       } else {
         std::ifstream file(value);
         if (!file) {
@@ -305,20 +307,22 @@ int run_campaign(int argc, char** argv) {
     } else if (key == "seed") {
       config.seed = require_uint64("seed", value);
     } else if (key == "generations") {
-      config.generations = require_positive_int("generations", value);
+      config.generations =
+          require_int("generations", value, limits::kMaxGenerations);
     } else if (key == "fitness_threshold") {
       config.fitness_threshold =
           require_double("fitness_threshold", value);
     } else if (key == "population") {
       config.population = static_cast<std::size_t>(
-          require_positive_int("population", value));
+          require_int("population", value, limits::kMaxPopulation));
     } else if (key == "offspring") {
       config.offspring = static_cast<std::size_t>(
-          require_positive_int("offspring", value));
+          require_int("offspring", value, limits::kMaxPopulation));
     } else if (key == "novelty_k") {
-      config.novelty_k = require_positive_int("novelty_k", value);
+      config.novelty_k =
+          require_int("novelty_k", value, limits::kMaxNoveltyK);
     } else if (key == "islands") {
-      config.islands = require_positive_int("islands", value);
+      config.islands = require_int("islands", value, limits::kMaxIslands);
     } else if (key == "jsonl") {
       jsonl_path = value;
     } else if (key == "csv") {
@@ -514,18 +518,18 @@ int run_serve(int argc, char** argv) {
       } else if (arg == "--port-file") {
         config.port_file = value;
       } else if (arg == "--jobs") {
-        config.job_slots =
-            static_cast<unsigned>(require_positive_int("--jobs", value));
+        config.job_slots = static_cast<unsigned>(
+            require_int("--jobs", value, limits::kMaxJobs));
       } else if (arg == "--workers") {
-        config.total_workers =
-            static_cast<unsigned>(require_positive_int("--workers", value));
+        config.total_workers = static_cast<unsigned>(
+            require_int("--workers", value, limits::kMaxWorkers));
       } else if (arg == "--queue") {
         config.queue_capacity = static_cast<std::size_t>(
-            require_positive_int("--queue", value));
+            require_int("--queue", value, limits::kMaxQueue));
       } else if (arg == "--cache-mem") {
         config.cache_mem_bytes =
             static_cast<std::size_t>(
-                require_positive_int("--cache-mem", value))
+                require_int("--cache-mem", value, limits::kMaxCacheMemMiB))
             << 20;
       } else if (arg == "--cache-load") {
         config.cache_load = value;
@@ -585,9 +589,11 @@ int run_serve(int argc, char** argv) {
       }
       config.default_fire.ignition = *ignition;
     } else if (key == "size") {
-      config.default_fire.size = require_positive_int("size", value);
+      config.default_fire.size =
+          require_int("size", value, limits::kMaxGridSize);
     } else if (key == "steps") {
-      config.default_fire.steps = require_positive_int("steps", value);
+      config.default_fire.steps =
+          require_int("steps", value, limits::kMaxSteps);
     } else if (key == "step_minutes") {
       config.default_fire.step_minutes = require_double("step_minutes", value);
     } else if (key == "noise") {
@@ -596,20 +602,22 @@ int run_serve(int argc, char** argv) {
       config.default_spec.method = value;
     } else if (key == "generations") {
       config.default_spec.generations =
-          require_positive_int("generations", value);
+          require_int("generations", value, limits::kMaxGenerations);
     } else if (key == "fitness_threshold") {
       config.default_spec.fitness_threshold =
           require_double("fitness_threshold", value);
     } else if (key == "population") {
       config.default_spec.population = static_cast<std::size_t>(
-          require_positive_int("population", value));
+          require_int("population", value, limits::kMaxPopulation));
     } else if (key == "offspring") {
       config.default_spec.offspring = static_cast<std::size_t>(
-          require_positive_int("offspring", value));
+          require_int("offspring", value, limits::kMaxPopulation));
     } else if (key == "novelty_k") {
-      config.default_spec.novelty_k = require_positive_int("novelty_k", value);
+      config.default_spec.novelty_k =
+          require_int("novelty_k", value, limits::kMaxNoveltyK);
     } else if (key == "islands") {
-      config.default_spec.islands = require_positive_int("islands", value);
+      config.default_spec.islands =
+          require_int("islands", value, limits::kMaxIslands);
     } else {
       std::fprintf(stderr, "unknown serve key: %s\n", key.c_str());
       return 1;

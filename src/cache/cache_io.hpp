@@ -7,7 +7,13 @@
 // src/shard/wire.hpp):
 //
 //   u32 magic      kCacheFileMagic ("CSSE")
-//   u32 version    kCacheFileVersion; any other value is rejected
+//   u32 version    kCacheFileVersion; any other value is rejected.
+//                  Version 2 keys entries by the word-at-a-time map
+//                  fingerprint and by terrain-canonical scenario genes
+//                  (cache::make_scenario_key after
+//                  firelib::canonical_scenario); a version-1 snapshot's
+//                  keys could never match, so it is refused by version
+//                  instead of silently missing on every lookup.
 //   frame*         each:
 //     u32 type     kEntryFrame | kEndFrame
 //     u64 length   payload bytes (<= kMaxCachePayload, so a flipped length
@@ -44,7 +50,7 @@
 namespace essns::cache {
 
 inline constexpr std::uint32_t kCacheFileMagic = 0x45535343u;  // "CSSE" LE
-inline constexpr std::uint32_t kCacheFileVersion = 1;
+inline constexpr std::uint32_t kCacheFileVersion = 2;
 inline constexpr std::uint32_t kEntryFrame = 1;
 inline constexpr std::uint32_t kEndFrame = 2;
 /// Per-frame payload bound: one entry (key + one map + fitnesses); 1 GiB

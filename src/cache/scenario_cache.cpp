@@ -40,9 +40,8 @@ const char* to_string(CachePolicy policy) {
 }
 
 std::optional<CachePolicy> parse_cache_policy(const std::string& text) {
-  if (text == "off" || text == "false" || text == "0") return CachePolicy::kOff;
-  if (text == "step" || text == "on" || text == "true" || text == "1")
-    return CachePolicy::kStep;
+  if (text == "off") return CachePolicy::kOff;
+  if (text == "step") return CachePolicy::kStep;
   if (text == "shared") return CachePolicy::kShared;
   return std::nullopt;
 }
@@ -69,12 +68,32 @@ std::size_t ScenarioKeyHash::operator()(const ScenarioKey& key) const {
 }
 
 std::uint64_t map_fingerprint(const firelib::IgnitionMap& map) {
+  // Cells are mixed a whole 64-bit word at a time into four independent
+  // lanes (cell i into lane i % 4): one multiply per cell, and the lanes'
+  // multiplies overlap instead of forming one dependent chain. The
+  // xor-shift after each multiply feeds high bits back down, so flips in
+  // two cells' top bits (sign, exponent) cannot cancel the way they would
+  // under a bare xor-multiply. The byte-wise fold mixes every lane bit.
+  std::uint64_t lanes[4] = {kFnvOffset, kFnvOffset ^ 1, kFnvOffset ^ 2,
+                            kFnvOffset ^ 3};
+  const auto mix = [](std::uint64_t lane, double cell) {
+    lane = (lane ^ std::bit_cast<std::uint64_t>(cell)) * kFnvPrime;
+    return lane ^ (lane >> 32);
+  };
+  const double* data = map.data();
+  const std::size_t n = map.size();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    lanes[0] = mix(lanes[0], data[i]);
+    lanes[1] = mix(lanes[1], data[i + 1]);
+    lanes[2] = mix(lanes[2], data[i + 2]);
+    lanes[3] = mix(lanes[3], data[i + 3]);
+  }
+  for (; i < n; ++i) lanes[i % 4] = mix(lanes[i % 4], data[i]);
   std::uint64_t hash = kFnvOffset;
   hash = fnv1a(hash, static_cast<std::uint64_t>(map.rows()));
   hash = fnv1a(hash, static_cast<std::uint64_t>(map.cols()));
-  const double* data = map.data();
-  for (std::size_t i = 0; i < map.size(); ++i)
-    hash = fnv1a(hash, std::bit_cast<std::uint64_t>(data[i]));
+  for (const std::uint64_t lane : lanes) hash = fnv1a(hash, lane);
   return hash;
 }
 

@@ -53,9 +53,7 @@ enum class CachePolicy { kOff, kStep, kShared };
 
 const char* to_string(CachePolicy policy);
 
-/// Parse "off" | "step" | "shared" (plus the legacy on/true/1 -> kStep and
-/// false/0 -> kOff spellings of the old boolean knob). Empty optional on
-/// anything else.
+/// Parse "off" | "step" | "shared". Empty optional on anything else.
 std::optional<CachePolicy> parse_cache_policy(const std::string& text);
 
 /// Default byte budget of a SharedScenarioCache (256 MiB).
@@ -84,8 +82,9 @@ struct ScenarioKeyHash {
   std::size_t operator()(const ScenarioKey& key) const;
 };
 
-/// Content fingerprint of an ignition map (dimensions + cell bit patterns).
-/// Guards cached entries against pointer reuse and in-place mutation.
+/// Content fingerprint of an ignition map (dimensions + cell bit patterns,
+/// mixed a 64-bit word at a time). Guards cached entries against pointer
+/// reuse and in-place mutation, so callers hash every batch's maps afresh.
 std::uint64_t map_fingerprint(const firelib::IgnitionMap& map);
 
 /// Content fingerprint of the terrain a fire spreads over: dimensions, cell

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/limits.hpp"
 #include "common/parse.hpp"
 #include "core/ns_de.hpp"
 #include "obs/session.hpp"
@@ -65,10 +66,12 @@ RunSpec parse_run_spec(std::istream& in) {
     const std::string value = trim(stripped.substr(eq + 1));
     ESSNS_REQUIRE(!value.empty(), "config key '" + key + "' has empty value");
 
-    auto as_int = [&](int lo) {
-      const auto v = parse_int(value);
-      ESSNS_REQUIRE(v.has_value() && *v >= lo,
-                    "bad integer for config key '" + key + "': " + value);
+    auto as_int = [&](int lo, int hi) {
+      const auto v = limits::parse_int_in(value, lo, hi);
+      ESSNS_REQUIRE(v.has_value(), "bad integer for config key '" + key +
+                                       "': " + value + " (integer in [" +
+                                       std::to_string(lo) + ", " +
+                                       std::to_string(hi) + "])");
       return *v;
     };
     auto as_double = [&] {
@@ -79,7 +82,7 @@ RunSpec parse_run_spec(std::istream& in) {
     };
 
     if (key == "workload") spec.workload = value;
-    else if (key == "size") spec.size = as_int(8);
+    else if (key == "size") spec.size = as_int(8, limits::kMaxGridSize);
     else if (key == "method") spec.method = value;
     else if (key == "seed") {
       const auto v = parse_uint64(value);
@@ -87,13 +90,20 @@ RunSpec parse_run_spec(std::istream& in) {
                     "bad unsigned integer for config key 'seed': " + value);
       spec.seed = *v;
     }
-    else if (key == "generations") spec.generations = as_int(1);
+    else if (key == "generations")
+      spec.generations = as_int(1, limits::kMaxGenerations);
     else if (key == "fitness_threshold") spec.fitness_threshold = as_double();
-    else if (key == "population") spec.population = static_cast<std::size_t>(as_int(2));
-    else if (key == "offspring") spec.offspring = static_cast<std::size_t>(as_int(1));
-    else if (key == "workers") spec.workers = static_cast<unsigned>(as_int(1));
-    else if (key == "novelty_k") spec.novelty_k = as_int(0);
-    else if (key == "islands") spec.islands = as_int(1);
+    else if (key == "population")
+      spec.population =
+          static_cast<std::size_t>(as_int(2, limits::kMaxPopulation));
+    else if (key == "offspring")
+      spec.offspring =
+          static_cast<std::size_t>(as_int(1, limits::kMaxPopulation));
+    else if (key == "workers")
+      spec.workers = static_cast<unsigned>(as_int(1, limits::kMaxWorkers));
+    else if (key == "novelty_k")
+      spec.novelty_k = as_int(0, limits::kMaxNoveltyK);
+    else if (key == "islands") spec.islands = as_int(1, limits::kMaxIslands);
     else if (key == "cache") {
       const auto policy = cache::parse_cache_policy(value);
       if (!policy)
@@ -102,7 +112,8 @@ RunSpec parse_run_spec(std::istream& in) {
       spec.cache_policy = *policy;
     }
     else if (key == "cache_mem")
-      spec.cache_mem_mb = static_cast<std::size_t>(as_int(1));
+      spec.cache_mem_mb =
+          static_cast<std::size_t>(as_int(1, limits::kMaxCacheMemMiB));
     else if (key == "simd") {
       const auto mode = simd::parse_simd_mode(value);
       if (!mode)

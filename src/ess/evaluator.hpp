@@ -96,8 +96,6 @@ class ScenarioEvaluator {
     service_.set_cache_policy(policy);
   }
   cache::CachePolicy cache_policy() const { return service_.cache_policy(); }
-  void set_cache_enabled(bool enabled) { service_.set_cache_enabled(enabled); }
-  bool cache_enabled() const { return service_.cache_enabled(); }
   void set_shared_cache(std::shared_ptr<cache::SharedScenarioCache> cache) {
     service_.set_shared_cache(std::move(cache));
   }

@@ -11,14 +11,29 @@
 namespace essns::ess {
 namespace {
 
-/// Cells of `map` burned by `time`, one bit per cell in row-major order.
-std::vector<std::uint64_t> pack_burned(const firelib::IgnitionMap& map,
-                                       double time) {
-  std::vector<std::uint64_t> bits((map.size() + 63) / 64, 0);
-  const double* t = map.data();
-  for (std::size_t i = 0; i < map.size(); ++i)
-    bits[i >> 6] |= std::uint64_t{t[i] <= time} << (i & 63);
-  return bits;
+/// slot_of value of a request the cache served.
+constexpr std::size_t kFromCache = static_cast<std::size_t>(-1);
+
+/// A request whose result may carry a mask (its fitness can beat the floor).
+bool wants_mask(const SimulationRequest& req) {
+  return req.mask_floor < std::numeric_limits<double>::infinity();
+}
+
+/// Fill each scheduled request's result from its simulation: fitness when
+/// it has a target, the map when it keeps one, the mask when the fitness
+/// beats its floor. Requests the cache served (kFromCache) are already set.
+void gather(const std::vector<SimulationRequest>& requests,
+            const std::vector<std::size_t>& slot_of,
+            const std::vector<SimulationResult>& simulated,
+            std::vector<SimulationResult>& results) {
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (slot_of[i] == kFromCache) continue;
+    const SimulationRequest& req = requests[i];
+    const SimulationResult& sim = simulated[slot_of[i]];
+    if (req.target) results[i].fitness = sim.fitness;
+    if (req.keep_map) results[i].map = sim.map;
+    if (results[i].fitness > req.mask_floor) results[i].mask = sim.mask;
+  }
 }
 
 }  // namespace
@@ -28,6 +43,7 @@ SimulationService::SimulationService(const firelib::FireEnvironment& env,
     : env_(&env), propagator_(spread_model_) {
   ESSNS_REQUIRE(workers >= 1, "need at least one worker");
   workspaces_.resize(workers > 1 ? workers + 1 : 1);
+  mask_scratch_.resize(workspaces_.size());
   worker_placed_.assign(workspaces_.size(), 0);
   if (workers > 1) {
     pool_ = std::make_unique<
@@ -97,11 +113,6 @@ void SimulationService::set_cache_policy(cache::CachePolicy policy) {
   clear_step_cache();
 }
 
-void SimulationService::set_cache_enabled(bool enabled) {
-  set_cache_policy(enabled ? cache::CachePolicy::kStep
-                           : cache::CachePolicy::kOff);
-}
-
 void SimulationService::set_shared_cache(
     std::shared_ptr<cache::SharedScenarioCache> cache) {
   shared_cache_ = std::move(cache);
@@ -125,6 +136,18 @@ std::size_t SimulationService::cache_bytes() const {
     case cache::CachePolicy::kOff: break;
   }
   return 0;
+}
+
+cache::ScenarioKey SimulationService::key_of(
+    const firelib::Scenario& scenario) const {
+  return cache::make_scenario_key(firelib::canonical_scenario(*env_, scenario));
+}
+
+std::vector<std::uint64_t> SimulationService::burned_bits(
+    const firelib::IgnitionMap& map, double time) const {
+  std::vector<std::uint64_t> bits((map.size() + 63) / 64);
+  score_burned(nullptr, map, time, 0.0, simd_isa(), bits.data());
+  return bits;
 }
 
 void SimulationService::set_reference_kernels(bool reference) {
@@ -206,16 +229,28 @@ SimulationResult SimulationService::run_one(unsigned worker_id,
   const firelib::IgnitionMap& simulated = propagator_.propagate(
       *env_, *req.scenario, *req.start, req.end_time, workspace);
   SimulationResult result;
-  if (req.target) {
-    result.fitness =
-        reference_fitness_
-            ? jaccard_at_reference(*req.target, simulated, req.end_time,
-                                   req.start_time)
-            : jaccard_at(*req.target, simulated, req.end_time, req.start_time);
+  // The epilogue: one pass scores the map and packs its burned set into
+  // the worker's scratch words, which the result keeps only when the
+  // fitness beats the request's floor.
+  std::uint64_t* bits = nullptr;
+  if (wants_mask(req)) {
+    std::vector<std::uint64_t>& scratch = mask_scratch_[worker_id];
+    scratch.resize((simulated.size() + 63) / 64);
+    bits = scratch.data();
+  }
+  if (req.target && reference_fitness_) {
+    result.fitness = jaccard_at_reference(*req.target, simulated, req.end_time,
+                                          req.start_time);
+    if (bits)
+      score_burned(nullptr, simulated, req.end_time, 0.0, simd_isa(), bits);
+  } else if (req.target || bits) {
+    const JaccardCounts counts = score_burned(
+        req.target, simulated, req.end_time, req.start_time, simd_isa(), bits);
+    if (req.target) result.fitness = counts.index();
   }
   if (req.keep_map) result.map = simulated;
   if (result.fitness > req.mask_floor)
-    result.mask = pack_burned(simulated, req.end_time);
+    result.mask.assign(bits, bits + mask_scratch_[worker_id].size());
   result.sim_seconds = sim_timer.stop();
   if (obs::metrics_enabled()) {
     obs::add_counter("sim.count", 1);
@@ -309,7 +344,6 @@ std::vector<SimulationResult> SimulationService::run_batch_step(
 
   // Plan the batch on the master thread: serve what the cache can, collapse
   // in-batch duplicates onto one scheduled simulation, simulate the rest.
-  constexpr std::size_t kFromCache = static_cast<std::size_t>(-1);
   std::vector<SimulationResult> results(requests.size());
   std::vector<std::size_t> slot_of(requests.size(), kFromCache);
   std::vector<SimulationRequest> scheduled;
@@ -318,23 +352,27 @@ std::vector<SimulationResult> SimulationService::run_batch_step(
       in_batch;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const SimulationRequest& req = requests[i];
-    const cache::ScenarioKey key = cache::make_scenario_key(*req.scenario);
+    const cache::ScenarioKey key = key_of(*req.scenario);
     const auto cached = step_cache_.find(key);
     // Step mode keeps the original behavior bit-for-bit: only an explicit
     // fitness record satisfies a fitness request (no re-scoring from maps).
+    // A request that may want a mask needs the stored map to pack it from.
+    const bool needs_map = req.keep_map || wants_mask(req);
     const bool satisfied = cached != step_cache_.end() &&
                            (!req.target || cached->second.find_fitness(0, 0)) &&
-                           (!req.keep_map || cached->second.map);
+                           (!needs_map || cached->second.map);
     if (satisfied) {
       if (req.target) results[i].fitness = *cached->second.find_fitness(0, 0);
       if (req.keep_map) results[i].map = *cached->second.map;
+      if (results[i].fitness > req.mask_floor)
+        results[i].mask = burned_bits(*cached->second.map, req.end_time);
       ++cache_hits_;
       continue;
     }
     const auto [it, inserted] = in_batch.try_emplace(key, scheduled.size());
     if (inserted) {
       scheduled.push_back(req);
-      scheduled.back().mask_floor = mask_floor;
+      scheduled.back().mask_floor = std::min(req.mask_floor, mask_floor);
       scheduled_keys.push_back(key);
       ++cache_misses_;
     } else {
@@ -351,18 +389,15 @@ std::vector<SimulationResult> SimulationService::run_batch_step(
   for (const SimulationRequest& req : scheduled) tasks.push_back(&req);
   std::vector<SimulationResult> simulated = run_batch_uncached(tasks);
 
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (slot_of[i] == kFromCache) continue;
-    const SimulationRequest& req = requests[i];
-    const SimulationResult& sim = simulated[slot_of[i]];
-    if (req.target) results[i].fitness = sim.fitness;
-    if (req.keep_map) results[i].map = sim.map;
-  }
+  gather(requests, slot_of, simulated, results);
   for (std::size_t slot = 0; slot < scheduled.size(); ++slot) {
     const cache::ScenarioKey& key = scheduled_keys[slot];
-    if (!simulated[slot].mask.empty())
+    if (memoize && !simulated[slot].mask.empty())
       offer_solution_mask(key, simulated[slot].fitness,
                           std::move(simulated[slot].mask));
+    // Mask-only results (the SS/PS) leave nothing a later batch could
+    // read: the next batch scores against a target, a context change.
+    if (!scheduled[slot].target && !scheduled[slot].keep_map) continue;
     const bool known = step_cache_.count(key) != 0;
     if (!known && step_cache_.size() >= step_cache_capacity_) {
       ++cache_insertions_rejected_;
@@ -409,7 +444,6 @@ std::vector<SimulationResult> SimulationService::run_batch_shared(
     query.start_time_bits = std::bit_cast<std::uint64_t>(first.start_time);
   }
 
-  constexpr std::size_t kFromCache = static_cast<std::size_t>(-1);
   std::vector<SimulationResult> results(requests.size());
   std::vector<std::size_t> slot_of(requests.size(), kFromCache);
   std::vector<SimulationRequest> scheduled;
@@ -421,7 +455,7 @@ std::vector<SimulationResult> SimulationService::run_batch_shared(
   // is frozen bit-for-bit, so the two evolve independently.
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const SimulationRequest& req = requests[i];
-    cache::ScenarioKey key = cache::make_scenario_key(*req.scenario);
+    cache::ScenarioKey key = key_of(*req.scenario);
     key.context = context;
     // In-batch duplicates first: the scheduled simulation will serve them,
     // so probing the shared cache would only take the shard mutex to record
@@ -433,8 +467,8 @@ std::vector<SimulationResult> SimulationService::run_batch_shared(
       slot_of[i] = dup->second;
       continue;
     }
-    const auto cached =
-        shared_cache_->find(key, req.keep_map, req.target ? &query : nullptr);
+    const auto cached = shared_cache_->find(
+        key, req.keep_map || wants_mask(req), req.target ? &query : nullptr);
     if (cached) {
       if (req.target) {
         const double* fitness = cached->find_fitness(
@@ -449,8 +483,9 @@ std::vector<SimulationResult> SimulationService::run_batch_shared(
               reference_fitness_
                   ? jaccard_at_reference(*req.target, *cached->map,
                                          req.end_time, req.start_time)
-                  : jaccard_at(*req.target, *cached->map, req.end_time,
-                               req.start_time);
+                  : score_burned(req.target, *cached->map, req.end_time,
+                                 req.start_time, simd_isa(), nullptr)
+                        .index();
           cache::CachedScenario scored;
           scored.set_fitness(query.target_fingerprint, query.start_time_bits,
                              results[i].fitness);
@@ -461,6 +496,8 @@ std::vector<SimulationResult> SimulationService::run_batch_shared(
         }
       }
       if (req.keep_map) results[i].map = *cached->map;
+      if (results[i].fitness > req.mask_floor)
+        results[i].mask = burned_bits(*cached->map, req.end_time);
       ++cache_hits_;
       continue;
     }
@@ -481,13 +518,7 @@ std::vector<SimulationResult> SimulationService::run_batch_shared(
   for (const SimulationRequest& req : scheduled) tasks.push_back(&req);
   std::vector<SimulationResult> simulated = run_batch_uncached(tasks);
 
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (slot_of[i] == kFromCache) continue;
-    const SimulationRequest& req = requests[i];
-    const SimulationResult& sim = simulated[slot_of[i]];
-    if (req.target) results[i].fitness = sim.fitness;
-    if (req.keep_map) results[i].map = sim.map;
-  }
+  gather(requests, slot_of, simulated, results);
   for (std::size_t slot = 0; slot < scheduled.size(); ++slot) {
     cache::CachedScenario value;
     if (scheduled[slot].target)
@@ -531,41 +562,55 @@ Grid<double> SimulationService::burn_probability(
   Grid<double> probability(start.rows(), start.cols(), 0.0);
   double* p = probability.data();
   const std::size_t cells = probability.size();
+  const auto add_mask = [&](const std::vector<std::uint64_t>& bits) {
+    for (std::size_t w = 0; w < bits.size(); ++w)
+      for (std::uint64_t word = bits[w]; word != 0; word &= word - 1)
+        p[(w << 6) + static_cast<std::size_t>(std::countr_zero(word))] += 1.0;
+  };
 
-  // Scenarios the memo holds for this (start, end_time) count straight
-  // from their masks; the rest are simulated as a map batch.
-  const bool memo_live =
-      cache_policy_ == cache::CachePolicy::kStep && !memo_.empty() &&
-      memo_start_ == &start && memo_end_time_ == end_time &&
-      memo_start_fingerprint_ == cache::map_fingerprint(start);
-  std::vector<firelib::Scenario> misses;
-  std::size_t memo_hits = 0;
-  for (const firelib::Scenario& scenario : scenarios) {
-    const SolutionMask* hit = nullptr;
-    if (memo_live) {
-      const cache::ScenarioKey key = cache::make_scenario_key(scenario);
-      for (const SolutionMask& entry : memo_)
-        if (entry.key == key) hit = &entry;
-    }
-    if (!hit) {
-      misses.push_back(scenario);
-      continue;
-    }
-    ++memo_hits;
-    for (std::size_t i = 0; i < cells; ++i)
-      if ((hit->bits[i >> 6] >> (i & 63)) & 1) p[i] += 1.0;
-  }
-  cache_hits_ += memo_hits;
-  if (obs::metrics_enabled() && memo_hits > 0)
-    obs::add_counter("cache.hits", memo_hits);
-
-  if (!misses.empty()) {
+  if (cache_policy_ == cache::CachePolicy::kShared) {
+    // The shared cache serves and stores whole maps (serve's re-predictions
+    // read them back), so this policy aggregates a map batch.
     for (const firelib::IgnitionMap& map :
-         simulate_batch(misses, start, end_time)) {
+         simulate_batch(scenarios, start, end_time)) {
       const double* t = map.data();
       for (std::size_t i = 0; i < cells; ++i)
         if (t[i] <= end_time) p[i] += 1.0;
     }
+  } else {
+    // Scenarios the memo holds for this (start, end_time) count straight
+    // from their masks; the rest run as mask-only requests, which carry
+    // the burned set their epilogue packed instead of a map copy.
+    const bool memo_live =
+        cache_policy_ == cache::CachePolicy::kStep && !memo_.empty() &&
+        memo_start_ == &start && memo_end_time_ == end_time &&
+        memo_start_fingerprint_ == cache::map_fingerprint(start);
+    std::vector<SimulationRequest> misses;
+    std::size_t memo_hits = 0;
+    for (const firelib::Scenario& scenario : scenarios) {
+      const SolutionMask* hit = nullptr;
+      if (memo_live) {
+        const cache::ScenarioKey key = key_of(scenario);
+        for (const SolutionMask& entry : memo_)
+          if (entry.key == key) hit = &entry;
+      }
+      if (!hit) {
+        SimulationRequest& req = misses.emplace_back();
+        req.scenario = &scenario;
+        req.start = &start;
+        req.end_time = end_time;
+        req.keep_map = false;
+        req.mask_floor = -std::numeric_limits<double>::infinity();
+        continue;
+      }
+      ++memo_hits;
+      add_mask(hit->bits);
+    }
+    cache_hits_ += memo_hits;
+    if (obs::metrics_enabled() && memo_hits > 0)
+      obs::add_counter("cache.hits", memo_hits);
+    for (const SimulationResult& result : run_batch(misses))
+      add_mask(result.mask);
   }
   const double inv = 1.0 / static_cast<double>(scenarios.size());
   for (double& value : probability) value *= inv;

@@ -5,10 +5,12 @@
 // be implemented in the evaluation of the scenarios", §III-B) and leaves the
 // Statistical and Prediction stages serial. This service supersedes that
 // scoping: one persistent Master/Worker pool (Fig. 1/3) serves fitness
-// batches for the OS *and* map batches for the SS/PS, so every stage that
-// simulates scales with the worker count. Each worker owns a
+// batches for the OS *and* burned-mask batches for the SS/PS, so every
+// stage that simulates scales with the worker count. Each worker owns a
 // firelib::PropagationWorkspace, so steady-state simulations run without
-// per-call allocations regardless of which stage issued them.
+// per-call allocations regardless of which stage issued them, and a
+// simulation costs its sweep plus one epilogue pass (ess::score_burned)
+// that scores the map and packs its burned set together.
 //
 // Determinism contract: requests are scattered by index and results gathered
 // in request order, and each simulation is a deterministic function of its
@@ -18,14 +20,21 @@
 // Scenario cache: duplicate genomes are common under GA crossover/elitism,
 // and re-simulating a byte-identical scenario over the same interval from
 // the same fire state is pure waste. The service memoizes batch results
-// behind a cache-policy seam (cache::CachePolicy):
+// behind a cache-policy seam (cache::CachePolicy). Every key is built from
+// the scenario with the genes the environment overrides zeroed
+// (firelib::canonical_scenario), so scenarios that differ only in a fuel
+// model under a fuel map, or slope/aspect under a topography, share one
+// simulation.
 //
-//   kStep   the original behavior, bit-for-bit: a private map keyed by the
-//           scenario's parameter bytes, scoped to one (start map, target
-//           map, interval) context; a context change (e.g. the next
-//           prediction step) clears it. All bookkeeping happens on the
-//           master thread at batch-assembly time, so hit/miss counts and
-//           results are deterministic at every worker count.
+//   kStep   a private map keyed by the scenario's parameter bytes, scoped
+//           to one (start map, target map, interval) context; a context
+//           change (e.g. the next prediction step) clears it. All
+//           bookkeeping happens on the master thread at batch-assembly
+//           time, so hit/miss counts and results are deterministic at
+//           every worker count. Mask-only batches (burn_probability's) are
+//           planned the same way but insert nothing: no later batch could
+//           read their entries, since the next batch scores against a
+//           target and so changes the context.
 //           Alongside it sits the solution-mask memo, scoped to the
 //           *simulation* context (start map, end time) only: the
 //           bit-packed burned sets at end_time of the K highest-fitness
@@ -76,8 +85,10 @@ struct SimulationRequest {
   /// requests avoid one map copy per simulation).
   bool keep_map = true;
   /// The result carries the burned set at end_time, bit-packed, when its
-  /// fitness exceeds this floor (+infinity: never). Set by the kStep
-  /// solution-mask memo, not by callers.
+  /// fitness exceeds this floor: +infinity never (the default), -infinity
+  /// always (burn_probability's mask-only requests, which keep no map).
+  /// The kStep solution-mask memo lowers it on fitness requests it may
+  /// keep.
   double mask_floor = std::numeric_limits<double>::infinity();
 };
 
@@ -87,8 +98,9 @@ struct SimulationResult {
   /// Wall-clock of the simulation that produced this result (0 for cache
   /// hits); the shared cache weights eviction by it.
   double sim_seconds = 0.0;
-  /// Burned set at end_time (bit i of word i / 64 = cell i, row-major);
-  /// empty unless the fitness beat the request's mask_floor.
+  /// Burned set at end_time (bit i % 64 of word i / 64 = cell i,
+  /// row-major); empty unless the fitness beat the request's mask_floor.
+  /// Packed by the same pass that scores the map (ess::score_burned).
   std::vector<std::uint64_t> mask;
 };
 
@@ -111,13 +123,6 @@ class SimulationService {
   /// and sharing scope. Switching policies drops the step-scoped cache.
   void set_cache_policy(cache::CachePolicy policy);
   cache::CachePolicy cache_policy() const { return cache_policy_; }
-
-  /// Legacy boolean knob: on -> kStep (the historical behavior), off ->
-  /// kOff. Prefer set_cache_policy.
-  void set_cache_enabled(bool enabled);
-  bool cache_enabled() const {
-    return cache_policy_ != cache::CachePolicy::kOff;
-  }
 
   /// The cross-step / cross-job cache used when the policy is kShared. A
   /// campaign installs one cache into every job's service; when none is
@@ -226,9 +231,13 @@ class SimulationService {
   /// to end_time: bit-identical to aggregate_probability(simulate_batch(
   /// scenarios, start, end_time), end_time) — per-cell counts are small
   /// integers, exact in a double, so the summation order is immaterial.
-  /// Under kStep, scenarios the solution-mask memo holds for (start,
-  /// end_time) are read from it (counted as cache hits) instead of being
-  /// simulated again.
+  /// Under kStep and kOff it aggregates burned masks, never maps: under
+  /// kStep, scenarios the solution-mask memo holds for (start, end_time)
+  /// are read from it (counted as cache hits), and the rest run as
+  /// mask-only requests (keep_map = false, mask_floor = -infinity) planned
+  /// like any step batch, so in-batch duplicates and the hit/miss counts
+  /// are those a map batch would have. kShared aggregates a map batch, as
+  /// its cache stores maps for later re-predictions.
   Grid<double> burn_probability(const std::vector<firelib::Scenario>& scenarios,
                                 const firelib::IgnitionMap& start,
                                 double end_time);
@@ -263,6 +272,12 @@ class SimulationService {
   /// the pinned-worker counter.
   void place_worker(unsigned worker_id);
   SimulationResult run_one(unsigned worker_id, const SimulationRequest& req);
+  /// Memoization key of `scenario`: its genes with the ones this
+  /// environment overrides zeroed (firelib::canonical_scenario).
+  cache::ScenarioKey key_of(const firelib::Scenario& scenario) const;
+  /// Burned set of a stored map at `time`, for cache hits that need one.
+  std::vector<std::uint64_t> burned_bits(const firelib::IgnitionMap& map,
+                                         double time) const;
   std::vector<SimulationResult> run_batch_uncached(
       const std::vector<const SimulationRequest*>& requests);
   std::vector<SimulationResult> run_batch_step(
@@ -282,6 +297,9 @@ class SimulationService {
   /// workspaces_[0] belongs to the calling thread; pool worker `id` uses
   /// workspaces_[id + 1].
   std::vector<firelib::PropagationWorkspace> workspaces_;
+  /// mask_scratch_[id]: the burned-set words workspace slot id's epilogue
+  /// packs into, copied into a result only when it keeps the mask.
+  std::vector<std::vector<std::uint64_t>> mask_scratch_;
   /// worker_placed_[id]: slot id has run its one-shot placement. Written
   /// only by the slot's owning thread; reset (master-side, between batches)
   /// by set_numa_mode.

@@ -73,4 +73,19 @@ class FireEnvironment {
   std::uint64_t topography_id_ = 0;
 };
 
+/// `scenario` with the genes `env`'s per-cell layers override zeroed: the
+/// fuel model under a fuel map, slope and aspect under a topography. No
+/// sweep over `env` reads those fields, so scenarios that differ only in
+/// them simulate bit-identical maps; memoization keys are built from this
+/// form so such scenarios share one simulation.
+inline Scenario canonical_scenario(const FireEnvironment& env,
+                                   Scenario scenario) {
+  if (env.has_fuel_map()) scenario.model = 0;
+  if (env.has_topography()) {
+    scenario.slope = 0.0;
+    scenario.aspect = 0.0;
+  }
+  return scenario;
+}
+
 }  // namespace essns::firelib

@@ -87,7 +87,7 @@ class HeapSweepQueue {
   }
 
   template <typename Relax>
-  void drain(double horizon_min, Relax&& relax) {
+  void drain(Relax&& relax) {
     while (!heap_.empty()) {
       std::pop_heap(heap_.begin(), heap_.end(), later);
       const Entry top = heap_.back();
@@ -96,7 +96,6 @@ class HeapSweepQueue {
         ++counters_.stale_pops;
         continue;
       }
-      if (top.time > horizon_min) break;  // everything later is out of horizon
       ++counters_.popped;
       relax(top.time, top.cell, *this);
     }
@@ -129,8 +128,7 @@ class DialSweepQueue {
                  double horizon_min, std::size_t cells,
                  SweepCounters& counters)
       : entries_(entries), batch_(batch), heads_(heads), words_(words),
-        epochs_(epochs), dirty_(dirty), counters_(counters),
-        horizon_(horizon_min) {
+        epochs_(epochs), dirty_(dirty), counters_(counters) {
     num_buckets_ = std::clamp<std::size_t>(cells, 64, std::size_t{1} << 16);
     // Bucket width horizon / num_buckets_; a zero or infinite horizon —
     // or one so tiny the reciprocal width overflows (0 * inf in bucket_of
@@ -167,11 +165,8 @@ class DialSweepQueue {
   }
 
   void push(double time, std::size_t cell) {
-    // Entries beyond the horizon are never expanded — the heap parks them
-    // until its early break, the final clamp erases them either way. Only
-    // pre-seeded initial times can get here (relaxation already guards
-    // arrival <= horizon).
-    if (time > horizon_) return;
+    // No entry lies beyond the horizon: seeding clears out-of-horizon
+    // seeds and every relaxation guards arrival <= horizon.
     // The intrusive chains index the arena with int32; entries cannot be
     // allowed past that (run_sweep's cell-count guard makes this
     // unreachable in practice — it would take a ~48 GB arena).
@@ -263,7 +258,6 @@ class DialSweepQueue {
   AlignedVector<std::uint32_t>& epochs_;
   bool& dirty_;
   SweepCounters& counters_;
-  double horizon_;
   double inv_width_ = 0.0;
   std::size_t num_buckets_ = 1;
   std::size_t num_words_ = 1;
@@ -413,18 +407,21 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
   const std::uint8_t* fuel =
       (!reference_sweep_ && fuel_map) ? fuel_map->data() : nullptr;
 
-  // Seed every finite initial time into the queue. The dial queue drops
-  // seeds beyond the horizon at push (the heap parks and never expands
-  // them); the final clamp erases them from the output either way.
+  // Seed every finite initial time into the queue, in row-major order. A
+  // seed beyond the horizon is reported as never ignited right here (the
+  // horizon-clamp contract) instead of being pushed. Every relaxation
+  // admits only arrival <= horizon_min, so no other cell can end beyond
+  // the horizon: the map needs no clamp pass and the queues never hold an
+  // entry past it.
   const auto seed_into = [&](auto& queue) {
-    for (int r = 0; r < rows; ++r) {
-      for (int c = 0; c < cols; ++c) {
-        const double t0 = times(r, c);
-        if (t0 < kNeverIgnited) {
-          ESSNS_REQUIRE(t0 >= 0.0,
-                        "initial ignition times must be non-negative");
-          queue.push(t0, times.index_of(r, c));
-        }
+    for (std::size_t i = 0; i < cells; ++i) {
+      const double t0 = t[i];
+      if (t0 < kNeverIgnited) {
+        ESSNS_REQUIRE(t0 >= 0.0, "initial ignition times must be non-negative");
+        if (t0 > horizon_min)
+          t[i] = kNeverIgnited;
+        else
+          queue.push(t0, i);
       }
     }
   };
@@ -447,7 +444,7 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
     } else {
       HeapSweepQueue queue(workspace.heap_, t, cells, counters);
       seed_into(queue);
-      queue.drain(horizon_min, relax);
+      queue.drain(relax);
     }
   };
 
@@ -673,12 +670,6 @@ void FirePropagator::run_sweep(const FireEnvironment& env,
       }
     });
   }
-
-  // Clamp: anything beyond the horizon is reported as never ignited, matching
-  // the simulator contract ("time instant of ignition ... or zero otherwise").
-  // This includes pre-seeded initial times greater than the horizon.
-  for (double& time : times)
-    if (time > horizon_min) time = kNeverIgnited;
 
   const double sweep_seconds = sweep_timer.stop();
   if (obs::metrics_enabled()) {  // one flush per sweep, never per cell

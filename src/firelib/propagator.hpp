@@ -172,7 +172,9 @@ class FirePropagator {
   /// prediction step simulates forward from the real fire line RFL(t-1).
   /// Horizon-clamp contract: finite initial times greater than `horizon_min`
   /// are reported as kNeverIgnited in the output, exactly like cells the
-  /// sweep reaches beyond the horizon.
+  /// sweep would reach beyond the horizon. The seed scan clears such seeds
+  /// and every relaxation stores only arrivals <= horizon_min, so no output
+  /// cell lies past the horizon without a separate clamp pass.
   IgnitionMap propagate(const FireEnvironment& env, const Scenario& scenario,
                         const IgnitionMap& initial, double horizon_min) const;
 

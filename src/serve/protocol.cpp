@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/limits.hpp"
 #include "common/parse.hpp"
 
 namespace essns::serve {
@@ -22,8 +23,8 @@ std::vector<std::string> split_tokens(const std::string& line) {
 /// for unbounded memory or work (size=100000 would be an 80 GB grid).
 int require_int(const std::string& key, const std::string& value, int lo,
                 int hi) {
-  const auto v = parse_int(value);
-  if (!v || *v < lo || *v > hi)
+  const auto v = limits::parse_int_in(value, lo, hi);
+  if (!v)
     throw InvalidArgument("bad value for '" + key + "': " + value +
                           " (integer in [" + std::to_string(lo) + ", " +
                           std::to_string(hi) + "])");
@@ -99,7 +100,7 @@ Request parse_request(const std::string& line) {
                               " (integer)");
       request.priority = *v;
     } else if (key == "steps" && (is_predict || is_repredict)) {
-      request.steps = require_int(key, value, 2, 64);
+      request.steps = require_int(key, value, 2, limits::kMaxSteps);
     } else if (key == "terrain" && is_predict) {
       request.terrain = synth::parse_terrain_family(value);
       if (!request.terrain)
@@ -116,7 +117,7 @@ Request parse_request(const std::string& line) {
         throw InvalidArgument("bad value for 'ignition': " + value +
                               " (center|offset|edge|corner)");
     } else if (key == "size" && is_predict) {
-      request.size = require_int(key, value, 16, 1024);
+      request.size = require_int(key, value, 16, limits::kMaxGridSize);
     } else if (key == "seed" && is_predict) {
       request.seed = require_u64(key, value);
     } else if (key == "step_minutes" && is_predict) {
@@ -126,19 +127,19 @@ Request parse_request(const std::string& line) {
     } else if (key == "method" && is_predict) {
       request.method = value;
     } else if (key == "generations" && is_predict) {
-      request.generations = require_int(key, value, 1, 1000);
+      request.generations = require_int(key, value, 1, limits::kMaxGenerations);
     } else if (key == "fitness_threshold" && is_predict) {
       request.fitness_threshold = require_double(key, value);
     } else if (key == "population" && is_predict) {
-      request.population =
-          static_cast<std::size_t>(require_int(key, value, 1, 4096));
+      request.population = static_cast<std::size_t>(
+          require_int(key, value, 1, limits::kMaxPopulation));
     } else if (key == "offspring" && is_predict) {
-      request.offspring =
-          static_cast<std::size_t>(require_int(key, value, 1, 4096));
+      request.offspring = static_cast<std::size_t>(
+          require_int(key, value, 1, limits::kMaxPopulation));
     } else if (key == "novelty_k" && is_predict) {
-      request.novelty_k = require_int(key, value, 1, 1024);
+      request.novelty_k = require_int(key, value, 1, limits::kMaxNoveltyK);
     } else if (key == "islands" && is_predict) {
-      request.islands = require_int(key, value, 1, 64);
+      request.islands = require_int(key, value, 1, limits::kMaxIslands);
     } else {
       throw InvalidArgument("unknown key '" + key + "' for " +
                             to_string(request.verb));

@@ -1,7 +1,11 @@
 #include "shard/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
+#include <string>
+
+#include "common/limits.hpp"
 
 namespace essns::shard {
 namespace {
@@ -186,6 +190,27 @@ WorkerConfig decode_worker_config(BinaryReader& in) {
   config.debug_crash_after_jobs = in.i32();
   if (config.shard_count == 0 || config.shard_index >= config.shard_count)
     throw WireError("shard index out of range");
+  // The frame crosses a process boundary, so its counts get the caps every
+  // other input surface shares (common/limits.hpp): a corrupted frame must
+  // not ask a worker for billions of job slots, threads or generations.
+  const auto require_in = [](std::int64_t value, std::int64_t lo,
+                             std::int64_t hi, const char* what) {
+    if (value < lo || value > hi)
+      throw WireError(std::string("worker config ") + what + " out of range");
+  };
+  require_in(config.shard_count, 1, limits::kMaxShards, "shard count");
+  require_in(config.job_concurrency, 1, limits::kMaxJobs, "job concurrency");
+  require_in(config.workers_per_job, 1, limits::kMaxWorkers,
+             "workers per job");
+  require_in(config.generations, 1, limits::kMaxGenerations, "generations");
+  require_in(static_cast<std::int64_t>(std::min<std::uint64_t>(
+                 config.population, limits::kMaxPopulation + 1)),
+             1, limits::kMaxPopulation, "population");
+  require_in(static_cast<std::int64_t>(std::min<std::uint64_t>(
+                 config.offspring, limits::kMaxPopulation + 1)),
+             1, limits::kMaxPopulation, "offspring");
+  require_in(config.novelty_k, 0, limits::kMaxNoveltyK, "novelty_k");
+  require_in(config.islands, 1, limits::kMaxIslands, "islands");
   require_done(in, "worker config");
   return config;
 }

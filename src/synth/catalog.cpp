@@ -1,9 +1,11 @@
 #include "synth/catalog.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/limits.hpp"
 #include "common/parse.hpp"
 #include "synth/weather.hpp"
 
@@ -52,15 +54,22 @@ void validate(const CatalogSpec& spec) {
   ESSNS_REQUIRE(!spec.weather.empty(), "catalog needs >= 1 weather regime");
   ESSNS_REQUIRE(!spec.ignitions.empty(),
                 "catalog needs >= 1 ignition pattern");
-  ESSNS_REQUIRE(spec.seeds_per_case >= 1, "seeds_per_case >= 1");
+  ESSNS_REQUIRE(spec.seeds_per_case >= 1 &&
+                    spec.seeds_per_case <= limits::kMaxSeedsPerCase,
+                "seeds_per_case in [1, " +
+                    std::to_string(limits::kMaxSeedsPerCase) + "]");
   ESSNS_REQUIRE(spec.steps >= 2,
                 "catalog steps >= 2 (pipeline needs calibration + prediction)");
+  ESSNS_REQUIRE(spec.steps <= limits::kMaxSteps,
+                "catalog steps <= " + std::to_string(limits::kMaxSteps));
   ESSNS_REQUIRE(spec.step_minutes > 0.0, "step_minutes must be positive");
   ESSNS_REQUIRE(
       spec.observation_noise >= 0.0 && spec.observation_noise < 1.0,
       "observation noise in [0,1)");
   for (int size : spec.sizes)
-    ESSNS_REQUIRE(size >= 16, "catalog map sizes must be >= 16 cells");
+    ESSNS_REQUIRE(size >= 16 && size <= limits::kMaxGridSize,
+                  "catalog map sizes must be in [16, " +
+                      std::to_string(limits::kMaxGridSize) + "] cells");
 }
 
 Workload make_terrain(TerrainFamily family, int size, std::uint64_t seed) {
@@ -251,13 +260,15 @@ CatalogSpec parse_catalog_spec(std::istream& in) {
     const std::string value = trim(stripped.substr(eq + 1));
     ESSNS_REQUIRE(!value.empty(), "catalog key '" + key + "' has empty value");
 
-    auto int_or_throw = [&](const std::string& text, int lo) {
-      const auto v = essns::parse_int(text);
-      ESSNS_REQUIRE(v.has_value() && *v >= lo,
-                    "bad integer for catalog key '" + key + "': " + text);
+    auto int_or_throw = [&](const std::string& text, int lo, int hi) {
+      const auto v = limits::parse_int_in(text, lo, hi);
+      ESSNS_REQUIRE(v.has_value(), "bad integer for catalog key '" + key +
+                                       "': " + text + " (integer in [" +
+                                       std::to_string(lo) + ", " +
+                                       std::to_string(hi) + "])");
       return *v;
     };
-    auto as_int = [&](int lo) { return int_or_throw(value, lo); };
+    auto as_int = [&](int lo, int hi) { return int_or_throw(value, lo, hi); };
     auto as_uint64 = [&] {
       const auto v = essns::parse_uint64(value);
       ESSNS_REQUIRE(v.has_value(), "bad unsigned integer for catalog key '" +
@@ -278,7 +289,7 @@ CatalogSpec parse_catalog_spec(std::istream& in) {
     } else if (key == "sizes") {
       spec.sizes.clear();
       for (const auto& name : split_list(value))
-        spec.sizes.push_back(int_or_throw(name, 16));
+        spec.sizes.push_back(int_or_throw(name, 16, limits::kMaxGridSize));
     } else if (key == "weather") {
       spec.weather.clear();
       for (const auto& name : split_list(value))
@@ -288,17 +299,18 @@ CatalogSpec parse_catalog_spec(std::istream& in) {
       for (const auto& name : split_list(value))
         spec.ignitions.push_back(parse_ignition(name));
     } else if (key == "seeds") {
-      spec.seeds_per_case = as_int(1);
+      spec.seeds_per_case = as_int(1, limits::kMaxSeedsPerCase);
     } else if (key == "base_seed") {
       spec.base_seed = as_uint64();
     } else if (key == "steps") {
-      spec.steps = as_int(2);
+      spec.steps = as_int(2, limits::kMaxSteps);
     } else if (key == "step_minutes") {
       spec.step_minutes = as_double();
     } else if (key == "noise") {
       spec.observation_noise = as_double();
     } else if (key == "limit") {
-      spec.max_workloads = static_cast<std::size_t>(as_int(0));
+      spec.max_workloads = static_cast<std::size_t>(
+          as_int(0, std::numeric_limits<int>::max()));
     } else {
       throw InvalidArgument("unknown catalog key: " + key);
     }

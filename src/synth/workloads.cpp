@@ -60,7 +60,9 @@ Workload make_hills(int size, std::uint64_t seed) {
 
   GroundTruthConfig cfg;
   cfg.hidden = plains_hidden();
-  cfg.hidden.model = 5;  // the searchable model still matters off-mosaic
+  // The fuel mosaic covers every cell, so no sweep reads the hidden (or any
+  // searched) fuel model, slope or aspect on this terrain.
+  cfg.hidden.model = 5;
   cfg.hidden.wind_speed = 8.0;
   cfg.step_minutes = 60.0;
   cfg.steps = 5;
@@ -95,7 +97,7 @@ Workload make_rugged(int size, std::uint64_t seed) {
 
   GroundTruthConfig cfg;
   cfg.hidden = plains_hidden();
-  cfg.hidden.model = 4;  // searchable model for off-mosaic parameters
+  cfg.hidden.model = 4;  // never read: the fuel mosaic covers every cell
   cfg.hidden.wind_speed = 6.0;
   cfg.step_minutes = 60.0;
   cfg.steps = 5;

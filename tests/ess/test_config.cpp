@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/error.hpp"
+#include "common/limits.hpp"
 
 namespace essns::ess {
 namespace {
@@ -45,21 +49,50 @@ TEST(RunSpecTest, ParsesAllKeys) {
 }
 
 TEST(RunSpecTest, CacheKeyParsesPolicies) {
-  // Default step; legacy boolean spellings keep parsing.
+  // Default step; the old boolean spellings (on/true/1, false/0) are gone.
   EXPECT_EQ(parse_run_spec("").cache_policy, cache::CachePolicy::kStep);
   EXPECT_EQ(parse_run_spec("cache=step\n").cache_policy,
-            cache::CachePolicy::kStep);
-  EXPECT_EQ(parse_run_spec("cache=on\n").cache_policy,
-            cache::CachePolicy::kStep);
-  EXPECT_EQ(parse_run_spec("cache=1\n").cache_policy,
             cache::CachePolicy::kStep);
   EXPECT_EQ(parse_run_spec("cache=shared\n").cache_policy,
             cache::CachePolicy::kShared);
   EXPECT_EQ(parse_run_spec("cache=off\n").cache_policy,
             cache::CachePolicy::kOff);
-  EXPECT_EQ(parse_run_spec("cache=false\n").cache_policy,
-            cache::CachePolicy::kOff);
+  for (const char* legacy : {"on", "true", "1", "false", "0"})
+    EXPECT_THROW(parse_run_spec(std::string("cache=") + legacy + "\n"),
+                 InvalidArgument)
+        << legacy;
   EXPECT_THROW(parse_run_spec("cache=maybe\n"), InvalidArgument);
+}
+
+TEST(RunSpecTest, IntegerKeysHaveUpperBounds) {
+  // The run-spec shares serve's caps (common/limits.hpp): each cap parses,
+  // one past it is rejected with the key and value named. Parsing only —
+  // no run starts.
+  const std::pair<const char*, int> bounds[] = {
+      {"size", limits::kMaxGridSize},
+      {"generations", limits::kMaxGenerations},
+      {"population", limits::kMaxPopulation},
+      {"offspring", limits::kMaxPopulation},
+      {"workers", limits::kMaxWorkers},
+      {"novelty_k", limits::kMaxNoveltyK},
+      {"islands", limits::kMaxIslands},
+      {"cache_mem", limits::kMaxCacheMemMiB}};
+  for (const auto& [key, bound] : bounds) {
+    const std::string prefix = std::string(key) + "=";
+    EXPECT_NO_THROW(parse_run_spec(prefix + std::to_string(bound) + "\n"))
+        << key;
+    for (const std::string& value :
+         {std::to_string(bound + 1), std::string("100000000")}) {
+      try {
+        parse_run_spec(prefix + value + "\n");
+        ADD_FAILURE() << "accepted " << key << "=" << value;
+      } catch (const InvalidArgument& error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find(key), std::string::npos) << message;
+        EXPECT_NE(message.find(value), std::string::npos) << message;
+      }
+    }
+  }
 }
 
 TEST(RunSpecTest, CacheMemKeyParsesMebibytes) {

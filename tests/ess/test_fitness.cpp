@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace essns::ess {
 namespace {
@@ -159,6 +162,72 @@ TEST(JaccardAtTest, FusedKernelMatchesReferenceBitwise) {
     const double fused = jaccard_at(real, sim, time, preburned);
     const double reference = jaccard_at_reference(real, sim, time, preburned);
     ASSERT_EQ(fused, reference) << "trial " << trial;  // bitwise, not approx
+  }
+}
+
+// Draws a map cell from the values the epilogue's compares are sensitive
+// to: never ignited, signed zeros, the two interval boundaries exactly,
+// values past the horizon, NaN, and ordinary times inside the interval.
+double edge_time(Rng& rng, double start, double end) {
+  switch (rng.uniform_int(0, 8)) {
+    case 0: return firelib::kNeverIgnited;
+    case 1: return 0.0;
+    case 2: return -0.0;
+    case 3: return start;
+    case 4: return end;
+    case 5: return end + rng.uniform(0.0, 50.0);  // past the horizon
+    case 6: return std::nextafter(end, firelib::kNeverIgnited);
+    case 7: return std::numeric_limits<double>::quiet_NaN();
+    default: return rng.uniform(0.0, end);
+  }
+}
+
+TEST(ScoreBurnedTest, EpilogueMatchesReferenceUnderEveryIsa) {
+  // Sizes cover a partial last mask word (33x35 = 1155 cells, 3 in the
+  // last word) and whole words (64x64, 96x96). avx2 resolves to scalar on
+  // hosts without it, so the loop is safe everywhere.
+  const simd::Isa isas[] = {simd::Isa::kScalar,
+                            simd::resolve(simd::Mode::kAvx2)};
+  Rng rng(15);
+  for (const auto& [rows, cols] :
+       {std::pair{33, 35}, std::pair{64, 64}, std::pair{96, 96}}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const double start = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 40.0);
+      const double end = start + rng.uniform(0.0, 60.0);
+      firelib::IgnitionMap real(rows, cols, firelib::kNeverIgnited);
+      firelib::IgnitionMap sim(rows, cols, firelib::kNeverIgnited);
+      for (double& t : real) t = edge_time(rng, start, end);
+      for (double& t : sim) t = edge_time(rng, start, end);
+      const double reference = jaccard_at_reference(real, sim, end, start);
+      const Grid<std::uint8_t> burned = firelib::burned_mask(sim, end);
+      const std::size_t words = (sim.size() + 63) / 64;
+      for (const simd::Isa isa : isas) {
+        SCOPED_TRACE(::testing::Message()
+                     << rows << "x" << cols << " trial " << trial << " "
+                     << simd::to_string(isa));
+        // Garbage in the buffer: every word must be written, padding bits
+        // of the last word cleared.
+        std::vector<std::uint64_t> bits(words, ~std::uint64_t{0});
+        const JaccardCounts counts =
+            score_burned(&real, sim, end, start, isa, bits.data());
+        ASSERT_EQ(counts.index(), reference);  // bitwise, not approx
+        const JaccardCounts unmasked =
+            score_burned(&real, sim, end, start, isa, nullptr);
+        EXPECT_EQ(unmasked.intersection, counts.intersection);
+        EXPECT_EQ(unmasked.set_union, counts.set_union);
+        std::vector<std::uint64_t> mask_only(words, ~std::uint64_t{0});
+        const JaccardCounts none =
+            score_burned(nullptr, sim, end, 0.0, isa, mask_only.data());
+        EXPECT_EQ(none.intersection, 0u);
+        EXPECT_EQ(none.set_union, 0u);
+        EXPECT_EQ(mask_only, bits);
+        for (std::size_t i = 0; i < words * 64; ++i) {
+          const bool expected = i < sim.size() && burned.data()[i] != 0;
+          ASSERT_EQ(((bits[i >> 6] >> (i & 63)) & 1) != 0, expected)
+              << "cell " << i;
+        }
+      }
+    }
   }
 }
 

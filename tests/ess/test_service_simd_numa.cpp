@@ -123,7 +123,7 @@ TEST_F(ServiceSimdNumaTest, SetNumaModeReArmsPlacement) {
   // Placement happens on a worker's first task; with the step cache on, the
   // second batch below would be served as pure hits on the master thread
   // and no worker would ever run (and so never re-place).
-  service.set_cache_enabled(false);
+  service.set_cache_policy(cache::CachePolicy::kOff);
   service.set_numa_mode(parallel::NumaMode::kOff);
   fitness_with(service);
   EXPECT_EQ(service.workers_pinned(), 0u);

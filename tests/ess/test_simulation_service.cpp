@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <string>
 
 #include "common/error.hpp"
 #include "ess/fitness.hpp"
@@ -113,7 +115,7 @@ TEST_F(SimulationServiceTest, CachedFitnessBatchMatchesUncachedBitwise) {
     for (const auto& scenario : scenarios_) batch.push_back(scenario);
 
   SimulationService uncached(workload_.environment, 1);
-  uncached.set_cache_enabled(false);
+  uncached.set_cache_policy(cache::CachePolicy::kOff);
   const auto expected = uncached.fitness_batch(
       batch, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
       truth_.step_minutes);
@@ -124,7 +126,7 @@ TEST_F(SimulationServiceTest, CachedFitnessBatchMatchesUncachedBitwise) {
   for (unsigned workers : {1u, 4u}) {
     SCOPED_TRACE(workers);
     SimulationService service(workload_.environment, workers);
-    ASSERT_TRUE(service.cache_enabled());
+    ASSERT_EQ(service.cache_policy(), cache::CachePolicy::kStep);
     const auto fitness = service.fitness_batch(
         batch, truth_.fire_lines[0], truth_.fire_lines[1], 0.0,
         truth_.step_minutes);
@@ -163,7 +165,7 @@ TEST_F(SimulationServiceTest, CachedSimulateBatchKeepsMapsBitwise) {
   batch.push_back(scenarios_[3]);
 
   SimulationService uncached(workload_.environment, 1);
-  uncached.set_cache_enabled(false);
+  uncached.set_cache_policy(cache::CachePolicy::kOff);
   const auto expected = uncached.simulate_batch(batch, truth_.fire_lines[0],
                                                 truth_.step_minutes);
   SimulationService service(workload_.environment, 1);
@@ -516,9 +518,9 @@ TEST_F(SimulationServiceTest, SolutionMemoEvictsTheLowestFitness) {
 
 TEST_F(SimulationServiceTest, ReferenceKernelsMatchFastKernels) {
   SimulationService fast(workload_.environment, 1);
-  fast.set_cache_enabled(false);
+  fast.set_cache_policy(cache::CachePolicy::kOff);
   SimulationService reference(workload_.environment, 1);
-  reference.set_cache_enabled(false);
+  reference.set_cache_policy(cache::CachePolicy::kOff);
   reference.set_reference_kernels(true);
   const auto got = fast.fitness_batch(scenarios_, truth_.fire_lines[0],
                                       truth_.fire_lines[1], 0.0,
@@ -551,6 +553,143 @@ TEST_F(SimulationServiceTest, RejectsUnsetRequestPointers) {
   SimulationService service(workload_.environment, 1);
   std::vector<SimulationRequest> requests(1);  // scenario/start left null
   EXPECT_THROW(service.run_batch(requests), InvalidArgument);
+}
+
+TEST_F(SimulationServiceTest, BurnProbabilityAggregatesMasksBitIdentically) {
+  // Under off and step burn_probability sums the burned sets each
+  // simulation's epilogue packs, never a map; shared sums its map batch.
+  // Every policy must equal aggregate_probability over an uncached map
+  // batch bit for bit, on uniform and DEM terrain, at every worker count.
+  // Under step the mask-only batch is planned like the map batch it
+  // replaced (in-batch duplicates are hits, each distinct scenario one
+  // miss) and leaves no entry behind.
+  const synth::Workload hills = synth::make_hills(32);
+  Rng rng(5);
+  const synth::GroundTruth hills_truth = synth::generate_ground_truth(
+      hills.environment, hills.truth_config, rng);
+  constexpr std::size_t kDuplicates = 4;
+  std::vector<firelib::Scenario> batch = scenarios_;
+  batch.insert(batch.end(), scenarios_.begin(),
+               scenarios_.begin() + kDuplicates);
+
+  struct Terrain {
+    const char* name;
+    const synth::Workload* workload;
+    const synth::GroundTruth* truth;
+  };
+  for (const Terrain& terrain : {Terrain{"plains", &workload_, &truth_},
+                                 Terrain{"hills", &hills, &hills_truth}}) {
+    const firelib::FireEnvironment& env = terrain.workload->environment;
+    const firelib::IgnitionMap& start = terrain.truth->fire_lines[1];
+    const double end = 2.0 * terrain.truth->step_minutes;
+    SimulationService uncached(env, 1);
+    uncached.set_cache_policy(cache::CachePolicy::kOff);
+    const Grid<double> expected =
+        aggregate_probability(uncached.simulate_batch(batch, start, end), end);
+
+    for (const cache::CachePolicy policy :
+         {cache::CachePolicy::kOff, cache::CachePolicy::kStep,
+          cache::CachePolicy::kShared}) {
+      for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(std::string(terrain.name) + " cache=" +
+                     cache::to_string(policy) +
+                     " workers=" + std::to_string(workers));
+        SimulationService service(env, workers);
+        service.set_cache_policy(policy);
+        EXPECT_EQ(service.burn_probability(batch, start, end), expected);
+        if (policy == cache::CachePolicy::kOff) {
+          EXPECT_EQ(service.cache_hits(), 0u);
+          EXPECT_EQ(service.cache_misses(), 0u);
+          EXPECT_EQ(service.simulations_run(), batch.size());
+        } else {
+          EXPECT_EQ(service.cache_hits(), kDuplicates);
+          EXPECT_EQ(service.cache_misses(), scenarios_.size());
+          EXPECT_EQ(service.batch_dedup_hits(), kDuplicates);
+          EXPECT_EQ(service.simulations_run(), scenarios_.size());
+        }
+        if (policy == cache::CachePolicy::kStep) {
+          EXPECT_EQ(service.cache_entries(), 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimulationServiceTest, StepContextInvalidatesOnInPlaceMutation) {
+  // The step cache is scoped by pointer AND content: a start or target map
+  // mutated in place behind the same pointer must not be served the old
+  // context's scores.
+  firelib::IgnitionMap start = truth_.fire_lines[0];
+  firelib::IgnitionMap target = truth_.fire_lines[1];
+  const double end = truth_.step_minutes;
+  ASSERT_EQ(start(0, 0), firelib::kNeverIgnited);
+  ASSERT_EQ(target(0, 0), firelib::kNeverIgnited);
+  SimulationService uncached(workload_.environment, 1);
+  uncached.set_cache_policy(cache::CachePolicy::kOff);
+  SimulationService service(workload_.environment, 1);
+  const std::size_t n = scenarios_.size();
+  const auto score = [&](std::size_t expected_runs) {
+    const std::vector<double> fitness =
+        service.fitness_batch(scenarios_, start, target, 0.0, end);
+    EXPECT_EQ(fitness,
+              uncached.fitness_batch(scenarios_, start, target, 0.0, end));
+    EXPECT_EQ(service.simulations_run(), expected_runs);
+    return fitness;
+  };
+
+  const std::vector<double> first = score(n);
+  EXPECT_EQ(score(n), first);  // same content: every request a hit
+  target(0, 0) = 0.5 * end;    // the real fire gains a cell in place
+  const std::vector<double> retargeted = score(2 * n);
+  EXPECT_NE(retargeted, first);
+  start(0, 0) = 0.0;  // a second ignition in the start map, in place
+  EXPECT_NE(score(3 * n), retargeted);
+}
+
+TEST_F(SimulationServiceTest, TerrainOverriddenGenesShareOneSweep) {
+  // With a fuel map and a topography no sweep reads the model, slope or
+  // aspect genes, so two scenarios that differ only there cost one sweep
+  // on hills; on plains those genes shape the fire and cost one each.
+  const synth::Workload hills = synth::make_hills(32);
+  Rng rng(5);
+  const synth::GroundTruth hills_truth = synth::generate_ground_truth(
+      hills.environment, hills.truth_config, rng);
+  firelib::Scenario a = scenarios_[0];
+  a.wind_speed = 10.0;  // a fire that spreads on both terrains
+  firelib::Scenario b = a;
+  b.model = a.model % 13 + 1;
+  b.slope = 0.5 * a.slope + 1.0;
+  b.aspect = std::fmod(a.aspect + 90.0, 360.0);
+  const std::vector<firelib::Scenario> pair{a, b};
+
+  struct Terrain {
+    const char* name;
+    const synth::Workload* workload;
+    const synth::GroundTruth* truth;
+    std::size_t sweeps;
+  };
+  for (const Terrain& terrain :
+       {Terrain{"plains", &workload_, &truth_, 2},
+        Terrain{"hills", &hills, &hills_truth, 1}}) {
+    const firelib::FireEnvironment& env = terrain.workload->environment;
+    const auto& lines = terrain.truth->fire_lines;
+    const double end = terrain.truth->step_minutes;
+    SimulationService uncached(env, 1);
+    uncached.set_cache_policy(cache::CachePolicy::kOff);
+    const std::vector<double> expected =
+        uncached.fitness_batch(pair, lines[0], lines[1], 0.0, end);
+    for (const cache::CachePolicy policy :
+         {cache::CachePolicy::kStep, cache::CachePolicy::kShared}) {
+      SCOPED_TRACE(std::string(terrain.name) + " cache=" +
+                   cache::to_string(policy));
+      SimulationService service(env, 1);
+      service.set_cache_policy(policy);
+      EXPECT_EQ(service.fitness_batch(pair, lines[0], lines[1], 0.0, end),
+                expected);
+      EXPECT_EQ(service.simulations_run(), terrain.sweeps);
+      EXPECT_EQ(service.cache_misses(), terrain.sweeps);
+    }
+  }
 }
 
 }  // namespace

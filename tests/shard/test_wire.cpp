@@ -10,9 +10,11 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/binary_io.hpp"
+#include "common/limits.hpp"
 #include "common/rng.hpp"
 
 namespace essns::shard {
@@ -310,6 +312,39 @@ TEST(WireFormat, WorkerConfigShardIndexOutOfRangeRejected) {
   const std::vector<std::uint8_t> payload = encode_worker_config(config);
   BinaryReader in(payload);
   EXPECT_THROW((void)decode_worker_config(in), WireError);
+}
+
+TEST(WireFormat, WorkerConfigCountsPastTheSharedCapsRejected) {
+  // A config frame's counts obey the caps of every other input surface:
+  // each decodes at its cap and is rejected one past it and at zero
+  // (decode only: no worker starts).
+  const auto decodes = [](const WorkerConfig& config) {
+    const std::vector<std::uint8_t> payload = encode_worker_config(config);
+    BinaryReader in(payload);
+    try {
+      (void)decode_worker_config(in);
+      return true;
+    } catch (const WireError&) {
+      return false;
+    }
+  };
+  const auto check = [&](auto member, std::int64_t cap, std::int64_t floor) {
+    for (const std::int64_t value : {floor - 1, floor, cap, cap + 1}) {
+      WorkerConfig config;
+      using Field = std::remove_reference_t<decltype(config.*member)>;
+      config.*member = static_cast<Field>(value);
+      EXPECT_EQ(decodes(config), value >= floor && value <= cap)
+          << "cap " << cap << " value " << value;
+    }
+  };
+  check(&WorkerConfig::shard_count, limits::kMaxShards, 1);
+  check(&WorkerConfig::job_concurrency, limits::kMaxJobs, 1);
+  check(&WorkerConfig::workers_per_job, limits::kMaxWorkers, 1);
+  check(&WorkerConfig::generations, limits::kMaxGenerations, 1);
+  check(&WorkerConfig::population, limits::kMaxPopulation, 1);
+  check(&WorkerConfig::offspring, limits::kMaxPopulation, 1);
+  check(&WorkerConfig::novelty_k, limits::kMaxNoveltyK, 0);
+  check(&WorkerConfig::islands, limits::kMaxIslands, 1);
 }
 
 TEST(WireFormat, MetricsSnapshotRoundTripsSparseBuckets) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/limits.hpp"
 
 namespace essns::synth {
 namespace {
@@ -184,6 +187,26 @@ TEST(Catalog, ParseRejectsBadInput) {
   EXPECT_THROW(parse_catalog_spec("not a key value line"), InvalidArgument);
   EXPECT_THROW(parse_catalog_spec("base_seed=-1"), InvalidArgument);
   EXPECT_THROW(parse_catalog_spec("base_seed=0x2a"), InvalidArgument);
+}
+
+TEST(Catalog, ParseRejectsValuesPastTheSharedCaps) {
+  // sizes=100000 would ask for an 80 GB grid; the catalog shares serve's
+  // caps (common/limits.hpp). Parsing only — nothing is generated.
+  const std::pair<const char*, int> bounds[] = {
+      {"sizes", limits::kMaxGridSize},
+      {"steps", limits::kMaxSteps},
+      {"seeds", limits::kMaxSeedsPerCase}};
+  for (const auto& [key, bound] : bounds) {
+    const std::string prefix = std::string(key) + "=";
+    EXPECT_NO_THROW(parse_catalog_spec(prefix + std::to_string(bound)))
+        << key;
+    EXPECT_THROW(parse_catalog_spec(prefix + std::to_string(bound + 1)),
+                 InvalidArgument)
+        << key;
+    EXPECT_THROW(parse_catalog_spec(prefix + "100000"), InvalidArgument)
+        << key;
+  }
+  EXPECT_THROW(parse_catalog_spec("sizes=32,100000"), InvalidArgument);
 }
 
 TEST(Catalog, ParseRejectsStrtolLeniencies) {
