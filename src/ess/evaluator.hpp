@@ -6,7 +6,7 @@
 // implemented in the evaluation of the scenarios, i.e., in the simulation
 // process and subsequent computation of the fitness function" (§III-B).
 // This implementation supersedes that scoping: all simulation — OS fitness
-// batches and the SS/PS map batches alike — goes through one pool-backed
+// batches and the SS/PS mask batches alike — goes through one pool-backed
 // SimulationService, so the Statistical and Prediction stages share the
 // OS-Worker pool (the Fig. 1/3 OS-Master -> OS-Worker message flow) instead
 // of re-simulating serially. With workers == 1 everything runs inline, and

@@ -378,6 +378,8 @@ std::vector<SimulationResult> SimulationService::run_batch_step(
     } else {
       // A duplicate widens the scheduled request rather than re-simulating.
       scheduled[it->second].keep_map |= req.keep_map;
+      scheduled[it->second].mask_floor =
+          std::min(scheduled[it->second].mask_floor, req.mask_floor);
       ++cache_hits_;
       ++batch_dedup_hits_;
     }
@@ -462,6 +464,10 @@ std::vector<SimulationResult> SimulationService::run_batch_shared(
     // a phantom miss (skewing the cache-global hit-rate on exactly the
     // duplicate-heavy batches the cache targets).
     if (const auto dup = in_batch.find(key); dup != in_batch.end()) {
+      // The scheduled simulation keeps its map already; a duplicate that
+      // wants a mask lowers its floor so the epilogue packs one.
+      scheduled[dup->second].mask_floor =
+          std::min(scheduled[dup->second].mask_floor, req.mask_floor);
       ++cache_hits_;
       ++batch_dedup_hits_;
       slot_of[i] = dup->second;
@@ -561,57 +567,47 @@ Grid<double> SimulationService::burn_probability(
   ESSNS_REQUIRE(!scenarios.empty(), "cannot aggregate zero maps");
   Grid<double> probability(start.rows(), start.cols(), 0.0);
   double* p = probability.data();
-  const std::size_t cells = probability.size();
   const auto add_mask = [&](const std::vector<std::uint64_t>& bits) {
     for (std::size_t w = 0; w < bits.size(); ++w)
       for (std::uint64_t word = bits[w]; word != 0; word &= word - 1)
         p[(w << 6) + static_cast<std::size_t>(std::countr_zero(word))] += 1.0;
   };
 
-  if (cache_policy_ == cache::CachePolicy::kShared) {
-    // The shared cache serves and stores whole maps (serve's re-predictions
-    // read them back), so this policy aggregates a map batch.
-    for (const firelib::IgnitionMap& map :
-         simulate_batch(scenarios, start, end_time)) {
-      const double* t = map.data();
-      for (std::size_t i = 0; i < cells; ++i)
-        if (t[i] <= end_time) p[i] += 1.0;
+  // Scenarios the kStep memo holds for this (start, end_time) count
+  // straight from their masks; the rest run as mask-only requests, which
+  // carry the burned set their epilogue packed instead of a map copy.
+  // kShared still stores each miss's map (run_batch_shared keeps it), so
+  // serve's re-predictions read the same entries.
+  const bool memo_live =
+      cache_policy_ == cache::CachePolicy::kStep && !memo_.empty() &&
+      memo_start_ == &start && memo_end_time_ == end_time &&
+      memo_start_fingerprint_ == cache::map_fingerprint(start);
+  std::vector<SimulationRequest> misses;
+  std::size_t memo_hits = 0;
+  for (const firelib::Scenario& scenario : scenarios) {
+    const SolutionMask* hit = nullptr;
+    if (memo_live) {
+      const cache::ScenarioKey key = key_of(scenario);
+      for (const SolutionMask& entry : memo_)
+        if (entry.key == key) hit = &entry;
     }
-  } else {
-    // Scenarios the memo holds for this (start, end_time) count straight
-    // from their masks; the rest run as mask-only requests, which carry
-    // the burned set their epilogue packed instead of a map copy.
-    const bool memo_live =
-        cache_policy_ == cache::CachePolicy::kStep && !memo_.empty() &&
-        memo_start_ == &start && memo_end_time_ == end_time &&
-        memo_start_fingerprint_ == cache::map_fingerprint(start);
-    std::vector<SimulationRequest> misses;
-    std::size_t memo_hits = 0;
-    for (const firelib::Scenario& scenario : scenarios) {
-      const SolutionMask* hit = nullptr;
-      if (memo_live) {
-        const cache::ScenarioKey key = key_of(scenario);
-        for (const SolutionMask& entry : memo_)
-          if (entry.key == key) hit = &entry;
-      }
-      if (!hit) {
-        SimulationRequest& req = misses.emplace_back();
-        req.scenario = &scenario;
-        req.start = &start;
-        req.end_time = end_time;
-        req.keep_map = false;
-        req.mask_floor = -std::numeric_limits<double>::infinity();
-        continue;
-      }
-      ++memo_hits;
-      add_mask(hit->bits);
+    if (!hit) {
+      SimulationRequest& req = misses.emplace_back();
+      req.scenario = &scenario;
+      req.start = &start;
+      req.end_time = end_time;
+      req.keep_map = false;
+      req.mask_floor = -std::numeric_limits<double>::infinity();
+      continue;
     }
-    cache_hits_ += memo_hits;
-    if (obs::metrics_enabled() && memo_hits > 0)
-      obs::add_counter("cache.hits", memo_hits);
-    for (const SimulationResult& result : run_batch(misses))
-      add_mask(result.mask);
+    ++memo_hits;
+    add_mask(hit->bits);
   }
+  cache_hits_ += memo_hits;
+  if (obs::metrics_enabled() && memo_hits > 0)
+    obs::add_counter("cache.hits", memo_hits);
+  for (const SimulationResult& result : run_batch(misses))
+    add_mask(result.mask);
   const double inv = 1.0 / static_cast<double>(scenarios.size());
   for (double& value : probability) value *= inv;
   return probability;

@@ -231,13 +231,13 @@ class SimulationService {
   /// to end_time: bit-identical to aggregate_probability(simulate_batch(
   /// scenarios, start, end_time), end_time) — per-cell counts are small
   /// integers, exact in a double, so the summation order is immaterial.
-  /// Under kStep and kOff it aggregates burned masks, never maps: under
-  /// kStep, scenarios the solution-mask memo holds for (start, end_time)
-  /// are read from it (counted as cache hits), and the rest run as
-  /// mask-only requests (keep_map = false, mask_floor = -infinity) planned
-  /// like any step batch, so in-batch duplicates and the hit/miss counts
-  /// are those a map batch would have. kShared aggregates a map batch, as
-  /// its cache stores maps for later re-predictions.
+  /// It aggregates burned masks, never maps: under kStep, scenarios the
+  /// solution-mask memo holds for (start, end_time) are read from it
+  /// (counted as cache hits), and the rest run as mask-only requests
+  /// (keep_map = false, mask_floor = -infinity) planned like any batch of
+  /// the policy, so in-batch duplicates and the hit/miss counts are those
+  /// a map batch would have. kShared still stores each miss's map, which
+  /// serve's re-predictions read back.
   Grid<double> burn_probability(const std::vector<firelib::Scenario>& scenarios,
                                 const firelib::IgnitionMap& start,
                                 double end_time);

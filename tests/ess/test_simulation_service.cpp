@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <string>
 
@@ -556,13 +557,13 @@ TEST_F(SimulationServiceTest, RejectsUnsetRequestPointers) {
 }
 
 TEST_F(SimulationServiceTest, BurnProbabilityAggregatesMasksBitIdentically) {
-  // Under off and step burn_probability sums the burned sets each
-  // simulation's epilogue packs, never a map; shared sums its map batch.
-  // Every policy must equal aggregate_probability over an uncached map
+  // burn_probability sums the burned sets each simulation's epilogue
+  // packs (or, on a cache hit, packs from the stored map), never a map
+  // batch. Every policy must equal aggregate_probability over an uncached map
   // batch bit for bit, on uniform and DEM terrain, at every worker count.
-  // Under step the mask-only batch is planned like the map batch it
-  // replaced (in-batch duplicates are hits, each distinct scenario one
-  // miss) and leaves no entry behind.
+  // Under step and shared the mask-only batch is planned like the map
+  // batch it replaced (in-batch duplicates are hits, each distinct
+  // scenario one miss); step keeps no entry, shared keeps the maps.
   const synth::Workload hills = synth::make_hills(32);
   Rng rng(5);
   const synth::GroundTruth hills_truth = synth::generate_ground_truth(
@@ -610,7 +611,57 @@ TEST_F(SimulationServiceTest, BurnProbabilityAggregatesMasksBitIdentically) {
         if (policy == cache::CachePolicy::kStep) {
           EXPECT_EQ(service.cache_entries(), 0u);
         }
+        if (policy == cache::CachePolicy::kShared) {
+          // Each miss stored its map: a later map batch (a re-prediction)
+          // is served whole from the cache, bit for bit.
+          EXPECT_EQ(service.simulate_batch(batch, start, end),
+                    uncached.simulate_batch(batch, start, end));
+          EXPECT_EQ(service.simulations_run(), scenarios_.size());
+        }
       }
+    }
+  }
+}
+
+TEST_F(SimulationServiceTest, DuplicatesWithMixedMaskFloorsEachGetTheirMask) {
+  // A batch may repeat a scenario with different mask floors: the request
+  // that asks for a mask must get one even when an earlier duplicate (the
+  // one scheduled) did not, in either order, under every policy.
+  const firelib::IgnitionMap& start = truth_.fire_lines[0];
+  const double end = truth_.step_minutes;
+  SimulationService uncached(workload_.environment, 1);
+  uncached.set_cache_policy(cache::CachePolicy::kOff);
+  const firelib::IgnitionMap map = uncached.simulate(scenarios_[0], start, end);
+  std::vector<std::uint64_t> expected((map.size() + 63) / 64);
+  score_burned(nullptr, map, end, 0.0, simd::Isa::kScalar, expected.data());
+
+  for (const cache::CachePolicy policy :
+       {cache::CachePolicy::kOff, cache::CachePolicy::kStep,
+        cache::CachePolicy::kShared}) {
+    for (const bool mask_first : {false, true}) {
+      SCOPED_TRACE(std::string(cache::to_string(policy)) +
+                   (mask_first ? " mask first" : " map first"));
+      std::vector<SimulationRequest> requests(2);
+      for (SimulationRequest& req : requests) {
+        req.scenario = &scenarios_[0];
+        req.start = &start;
+        req.end_time = end;
+      }
+      SimulationRequest& masked = requests[mask_first ? 0 : 1];
+      masked.keep_map = false;
+      masked.mask_floor = -std::numeric_limits<double>::infinity();
+
+      SimulationService service(workload_.environment, 1);
+      service.set_cache_policy(policy);
+      const std::vector<SimulationResult> results = service.run_batch(requests);
+      const SimulationResult& mask_result = results[mask_first ? 0 : 1];
+      const SimulationResult& map_result = results[mask_first ? 1 : 0];
+      EXPECT_EQ(mask_result.mask, expected);
+      EXPECT_TRUE(mask_result.map.empty());
+      EXPECT_EQ(map_result.map, map);
+      EXPECT_TRUE(map_result.mask.empty());  // its floor is +infinity
+      EXPECT_EQ(service.simulations_run(),
+                policy == cache::CachePolicy::kOff ? 2u : 1u);
     }
   }
 }
