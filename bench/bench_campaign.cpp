@@ -45,11 +45,11 @@ CampaignTiming run_once(const std::vector<synth::Workload>& workloads,
   service::CampaignConfig config;
   config.job_concurrency = job_concurrency;
   config.total_workers = total_workers;
-  config.generations = generations;
-  config.population = population;
-  config.offspring = population;
-  config.fitness_threshold = 1.1;  // fixed generation budget, no early exit
-  config.numa_mode = numa_mode;
+  config.spec.generations = generations;
+  config.spec.population = population;
+  config.spec.offspring = population;
+  config.spec.fitness_threshold = 1.1;  // fixed budget, no early exit
+  config.exec.numa_mode = numa_mode;
 
   const service::CampaignScheduler scheduler(config);
   const service::CampaignResult result = scheduler.run(workloads);

@@ -96,8 +96,9 @@ std::string oracle_response(const std::string& id, serve::Verb verb,
   service::JobSpec spec = config.default_spec;
   spec.cache_policy = cache::CachePolicy::kOff;
   const service::JobRecord record = service::run_prediction_job(
-      workload, /*index=*/0, config.seed, workers, spec, config.simd_mode,
-      config.numa_mode, firelib::SweepBackend::kScalar, nullptr);
+      workload, /*index=*/0, config.seed, workers, spec,
+      config.exec.simd_mode, config.exec.numa_mode,
+      firelib::SweepBackend::kScalar, nullptr);
   return serve::format_job_response(id, verb, record);
 }
 

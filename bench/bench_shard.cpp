@@ -48,10 +48,10 @@ service::CampaignConfig arm_config(unsigned job_concurrency, int generations,
   service::CampaignConfig config;
   config.job_concurrency = job_concurrency;
   config.total_workers = 4;
-  config.generations = generations;
-  config.population = population;
-  config.offspring = population;
-  config.fitness_threshold = 1.1;  // fixed generation budget, no early exit
+  config.spec.generations = generations;
+  config.spec.population = population;
+  config.spec.offspring = population;
+  config.spec.fitness_threshold = 1.1;  // fixed budget, no early exit
   config.seed = 2022;
   return config;
 }

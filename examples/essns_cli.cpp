@@ -6,17 +6,18 @@
 //   essns_cli campaign --jobs 4 --workers 4 sizes=32 generations=10
 //   essns_cli campaign --catalog catalog.conf jsonl=jobs.jsonl
 //   essns_cli serve --port 7733 --jobs 2 --workers 4
-//   essns_cli --help
+//   essns_cli --help               (every key, its flag spelling and bounds)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "cache/cache_io.hpp"
 #include "common/limits.hpp"
-#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "ess/config.hpp"
 #include "serve/server.hpp"
@@ -30,189 +31,155 @@ namespace {
 
 using namespace essns;
 
+// Every key essns_cli takes, in one table: the flag that spells it
+// (`--cache-mem 64` is `cache_mem=64`), the modes that take it and its help
+// line (an empty key continues the line above). Modes: r single run,
+// c campaign, k campaign catalog, s serve. The search keys parse in
+// ess::set_search_key, the execution keys in ess::set_exec_key, serve's
+// fire keys in synth::set_fire_key.
+struct Key {
+  const char* key;
+  const char* flag;  ///< "" = key=value only
+  const char* modes;
+  const char* help;
+};
+
+constexpr Key kKeys[] = {
+    {"method", "", "rcs", "ess-ns | ess-ga | essim-ea | essim-de |"},
+    {"", "", "rcs", "essim-de-tuned | ns-de | essim-monitor (ess-ns;"},
+    {"", "", "rcs", "campaign and serve jobs cannot run essim-monitor)"},
+    {"generations", "", "rcs", "1..1000 per OS step (run 30, job 15)"},
+    {"fitness_threshold", "", "rcs", "finite OS early-stop fitness (0.95)"},
+    {"population", "", "rcs", "2..4096 (run 24, job 16)"},
+    {"offspring", "", "rcs", "1..4096 (run 24, job 16)"},
+    {"novelty_k", "", "rcs", "0..1024 Eq. (1) neighbours, 0 = all (10)"},
+    {"islands", "", "rcs", "1..64, for the essim methods (3)"},
+    {"cache_mem", "--cache-mem", "rcs", "1..1048576 MiB cache budget (256)"},
+    {"simd", "--simd", "rcs", "auto | avx2 | scalar relax kernel (auto)"},
+    {"numa", "--numa", "rcs", "off | auto | on worker placement (auto)"},
+    {"trace", "--trace", "rcs", "Chrome trace-event JSON path or none"},
+    {"metrics_out", "--metrics-out", "rcs", "metrics JSON path or none"},
+    {"workload", "", "r", "plains | hills | wind_shift (plains)"},
+    {"size", "", "r", "8..1024 grid edge (48)"},
+    {"seed", "", "rc", "u64 run or campaign seed (2022)"},
+    {"workers", "--workers", "r", "1..256 simulation workers (1)"},
+    {"workers", "--workers", "cs", "1..256 workers, split over the jobs (1)"},
+    {"cache", "--cache", "rc", "off | step | shared memoization (step)"},
+    {"jobs", "--jobs", "cs", "1..256 prediction jobs in flight (1)"},
+    {"shards", "--shards", "c", "1..64 worker processes (none)"},
+    {"catalog", "--catalog", "c", "catalog file; repeatable, inline keys win"},
+    {"cache_load", "--cache-load", "cs", "restore a cache snapshot first"},
+    {"cache_save", "--cache-save", "cs", "save the cache snapshot at the end"},
+    {"jsonl", "", "c", "per-job JSONL or none (campaign_jobs.jsonl)"},
+    {"csv", "", "c", "per-job CSV or none (none)"},
+    {"summary", "", "c", "summary JSON or none (campaign_summary.json)"},
+    {"timings", "", "c", "wall | zero: zeroed clocks, canonical reports"},
+    {"terrains", "", "k", "plains,hills,rugged (plains,hills)"},
+    {"sizes", "", "k", "16..1024 grid edges (32)"},
+    {"weather", "", "k", "steady,wind_shift,diurnal (steady,wind_shift)"},
+    {"ignitions", "", "k", "center,offset,edge,corner (center,offset)"},
+    {"seeds", "", "k", "1..1024 replicates per cell (1)"},
+    {"base_seed", "", "k", "u64 (2022)"},
+    {"steps", "", "k", "2..64 ground-truth instants (4)"},
+    {"step_minutes", "", "k", "finite, > 0 (45)"},
+    {"noise", "", "k", "finite, in [0, 1) (0.02)"},
+    {"limit", "", "k", "truncate the catalog, 0 = no cap (0)"},
+    {"host", "--host", "s", "bind address (127.0.0.1)"},
+    {"port", "--port", "s", "0..65535, 0 = ephemeral (0)"},
+    {"port_file", "--port-file", "s", "write the chosen port here"},
+    {"queue", "--queue", "s", "1..4096 pending requests (16)"},
+    {"seed", "", "s", "u64 campaign seed of every job (2022)"},
+    {"terrain", "", "s", "plains | hills | rugged (plains)"},
+    {"size", "", "s", "16..1024 grid edge (32)"},
+    {"weather", "", "s", "steady | wind_shift | diurnal (steady)"},
+    {"ignition", "", "s", "center | offset | edge | corner (center)"},
+    {"steps", "", "s", "2..64 ground-truth instants (4)"},
+    {"step_minutes", "", "s", "finite, > 0 (45)"},
+    {"noise", "", "s", "finite, in [0, 1) (0.02)"},
+};
+
+bool takes(const Key& entry, char mode) {
+  return std::strchr(entry.modes, mode) != nullptr;
+}
+
+/// The help lines of the keys whose modes are exactly `modes` ("rcs") or,
+/// for a one-letter `modes`, that take that mode and not every mode.
+void print_keys(const char* modes) {
+  for (const Key& entry : kKeys) {
+    const bool every = std::strcmp(entry.modes, "rcs") == 0;
+    if (modes[1] != '\0' ? !every : every || !takes(entry, modes[0]))
+      continue;
+    std::string name = entry.key;
+    if (*entry.flag != '\0') name += std::string(" ") + entry.flag;
+    std::printf("  %-28s %s\n", name.c_str(), entry.help);
+  }
+}
+
 void print_help() {
   std::printf(
-      "usage: essns_cli [key=value ...] [@config-file]\n"
-      "       essns_cli campaign [flags] [key=value ...]\n"
-      "       essns_cli serve [flags] [key=value ...]\n\n"
-      "single run\n"
-      "  keys: workload size method seed generations fitness_threshold\n"
-      "        population offspring workers novelty_k islands cache\n"
-      "        cache_mem simd numa trace metrics_out\n"
-      "  methods:");
-  for (const auto& m : ess::RunSpec::known_methods())
-    std::printf(" %s", m.c_str());
+      "usage: essns_cli [key=value | --flag value ...] [@config-file]\n"
+      "       essns_cli campaign [key=value | --flag value ...]\n"
+      "       essns_cli serve [key=value | --flag value ...]\n"
+      "A flag is another spelling of its key: --cache-mem 64 is "
+      "cache_mem=64.\nResults are bit-identical under every cache, simd, "
+      "numa, trace,\nmetrics_out, workers, jobs and shards setting.\n\n"
+      "every mode — search and execution keys\n");
+  print_keys("rcs");
+  std::printf("\nsingle run — one prediction, per-step quality table\n");
+  print_keys("r");
   std::printf(
-      "\n  workloads: plains hills wind_shift\n\n"
-      "campaign — one prediction job per catalog workload, run concurrently\n"
-      "  flags:\n"
-      "    --jobs N       prediction jobs in flight at once (default 1)\n"
-      "    --workers N    total simulation-worker budget, split evenly over\n"
-      "                   the concurrent jobs (default 1; also valid in\n"
-      "                   single-run mode, where it maps to workers=N)\n"
-      "    --cache P      scenario memoization policy (also valid in\n"
-      "                   single-run mode); results are bit-identical under\n"
-      "                   every policy:\n"
-      "                     off     no memoization\n"
-      "                     step    per-step cache, wiped every prediction\n"
-      "                             step (default)\n"
-      "                     shared  one byte-bounded cache kept across steps\n"
-      "                             and shared by all concurrent jobs\n"
-      "    --cache-mem M  shared-cache byte budget in MiB (default 256;\n"
-      "                   entries are charged by stored map bytes and\n"
-      "                   evicted cost-aware when the budget is exceeded)\n"
-      "    --simd K       relax-kernel selection (also valid in single-run\n"
-      "                   mode); results are bit-identical either way:\n"
-      "                     auto    AVX2 when the host supports it (default)\n"
-      "                     avx2    request AVX2 (falls back to scalar on\n"
-      "                             hosts without it)\n"
-      "                     scalar  the scalar oracle kernel\n"
-      "    --numa P       NUMA-aware worker placement (also valid in\n"
-      "                   single-run mode): off | auto | on. auto (default)\n"
-      "                   pins simulation workers to nodes only on\n"
-      "                   multi-node hosts; performance-only, results are\n"
-      "                   bit-identical at any setting\n"
-      "    --trace F      record spans (jobs x pipeline stages x workers)\n"
-      "                   and write a Chrome trace-event JSON timeline to F\n"
-      "                   (open in chrome://tracing or ui.perfetto.dev;\n"
-      "                   also valid in single-run mode; 'none' disables;\n"
-      "                   results are bit-identical with tracing on or off)\n"
-      "    --metrics-out F  write a metrics JSON scrape to F — sweep/cache/\n"
-      "                   pool counters plus p50/p90/p99 latency histograms\n"
-      "                   (also valid in single-run mode; 'none' disables;\n"
-      "                   result-neutral like --trace)\n"
-      "    --cache-load F restore a cache snapshot (written by --cache-save\n"
-      "                   or serve) before the campaign; requires --cache\n"
-      "                   shared. Entries are re-accounted against this\n"
-      "                   run's --cache-mem budget; results stay\n"
-      "                   bit-identical to a cold run\n"
-      "    --cache-save F write the shared cache to F after the campaign\n"
-      "                   (requires --cache shared) for a later warm start\n"
-      "    --catalog F    read a catalog spec (key=value file) instead of\n"
-      "                   the built-in default catalog (8 workloads)\n"
-      "    --shards N     fan the catalog out over N worker PROCESSES\n"
-      "                   (round-robin by job index) and merge their frame\n"
-      "                   streams; merged jsonl/csv/summary are\n"
-      "                   byte-identical to the unsharded run at the same\n"
-      "                   seeds (with timings=zero, cache off|step). --jobs\n"
-      "                   stays the campaign-wide concurrency (each worker\n"
-      "                   runs ceil(jobs/shards) slots); a crashed worker\n"
-      "                   only fails its unreported jobs. --trace writes one\n"
-      "                   <file>.shard<k> per worker; --metrics-out writes\n"
-      "                   one merged rollup\n"
-      "  campaign keys: method seed generations fitness_threshold population\n"
-      "                 offspring novelty_k islands jsonl csv summary\n"
-      "                 timings\n"
-      "                 (jsonl/csv/summary are output paths; 'none' skips;\n"
-      "                 defaults campaign_jobs.jsonl / none /\n"
-      "                 campaign_summary.json)\n"
-      "                 timings=wall|zero: zero renders every wall-clock\n"
-      "                 field as 0, making reports a pure function of the\n"
-      "                 seeds (the canonical form determinism checks\n"
-      "                 byte-compare)\n"
-      "  catalog keys:  terrains sizes weather ignitions seeds base_seed\n"
-      "                 steps step_minutes noise limit\n"
-      "                 terrains:  plains hills rugged\n"
-      "                 weather:   steady wind_shift diurnal\n"
-      "                 ignitions: center offset edge corner\n\n"
-      "serve — long-lived prediction server (newline-delimited protocol\n"
-      "        over TCP; see README 'Serving'). One engine, one warm cache.\n"
-      "  flags:\n"
-      "    --host A       bind address (default 127.0.0.1)\n"
-      "    --port N       TCP port; 0 picks an ephemeral port (default 0)\n"
-      "    --port-file F  write the chosen port to F once listening\n"
-      "    --jobs N       prediction jobs in flight at once (default 1)\n"
-      "    --workers N    total simulation-worker budget (default 1)\n"
-      "    --queue N      pending-request bound beyond the running jobs;\n"
-      "                   excess requests get 'err ... rejected' (default 16)\n"
-      "    --cache-mem M  shared-cache byte budget in MiB (default 256)\n"
-      "    --cache-load F restore a cache snapshot before serving\n"
-      "    --cache-save F write the cache snapshot on clean shutdown\n"
-      "    --simd K / --numa P / --trace F / --metrics-out F\n"
-      "                   as above\n"
-      "  serve keys (defaults for requests that do not override them):\n"
-      "    seed terrain size weather ignition steps step_minutes noise\n"
-      "    method generations fitness_threshold population offspring\n"
-      "    novelty_k islands\n"
-      "  SIGINT/SIGTERM drain gracefully: in-flight jobs finish, queued ones\n"
-      "  are cancelled with a response, the cache snapshot is still saved.\n\n"
-      "exit status: 0 all jobs succeeded (or clean serve shutdown),\n"
+      "\ncampaign — one prediction job per catalog workload, run "
+      "concurrently\n");
+  print_keys("c");
+  std::printf("  (cache_load and cache_save need cache=shared)\n"
+              "  catalog keys: terrains x sizes x weather x ignitions x "
+              "seeds\n");
+  print_keys("k");
+  std::printf(
+      "\nserve — long-lived prediction server (newline-delimited protocol\n"
+      "  over TCP; see README 'Serving'). One engine, one warm cache; the\n"
+      "  fire and search keys are defaults a request may override.\n"
+      "  SIGINT/SIGTERM drain: in-flight jobs finish, queued ones are\n"
+      "  cancelled, the cache snapshot is still saved.\n");
+  print_keys("s");
+  std::printf(
+      "\nexit status: 0 all jobs succeeded (or clean serve shutdown),\n"
       "             1 on usage/config error,\n"
       "             2 when the campaign finished with failed jobs\n");
 }
 
+/// argv[i] as a key and its value, advancing i past a flag's value. Prints
+/// the error and returns nullopt for an unknown flag, a flag without a
+/// value, or an argument that is not key=value.
+std::optional<std::pair<std::string, std::string>> next_key(
+    int argc, char** argv, int& i, const char* mode) {
+  const std::string arg = argv[i];
+  if (arg.rfind('-', 0) == 0) {
+    for (const Key& entry : kKeys) {
+      if (arg != entry.flag) continue;
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s expects a value\n", arg.c_str());
+        return std::nullopt;
+      }
+      return std::make_pair(std::string(entry.key), std::string(argv[++i]));
+    }
+    std::fprintf(stderr, "unknown flag '%s' for %s (see --help)\n",
+                 arg.c_str(), mode);
+    return std::nullopt;
+  }
+  const auto eq = arg.find('=');
+  if (eq == std::string::npos) {
+    std::fprintf(stderr, "%s argument is not key=value: %s\n", mode,
+                 arg.c_str());
+    return std::nullopt;
+  }
+  return std::make_pair(arg.substr(0, eq), arg.substr(eq + 1));
+}
+
 bool is_catalog_key(const std::string& key) {
-  static const char* keys[] = {"terrains", "sizes",        "weather",
-                               "ignitions", "seeds",       "base_seed",
-                               "steps",     "step_minutes", "noise",
-                               "limit"};
-  for (const char* k : keys)
-    if (key == k) return true;
+  for (const Key& entry : kKeys)
+    if (key == entry.key && takes(entry, 'k')) return true;
   return false;
-}
-
-// Strict flag parsing on top of common/parse.hpp: reject, report, exit.
-// Upper bounds come from common/limits.hpp, shared with serve's protocol.
-int require_int(const char* flag, const std::string& value, int hi) {
-  const auto v = limits::parse_int_in(value, 1, hi);
-  if (!v) {
-    std::fprintf(stderr, "%s expects an integer in [1, %d], got '%s'\n", flag,
-                 hi, value.c_str());
-    std::exit(1);
-  }
-  return *v;
-}
-
-std::uint64_t require_uint64(const char* flag, const std::string& value) {
-  const auto v = parse_uint64(value);
-  if (!v) {
-    std::fprintf(stderr, "%s expects a 64-bit unsigned integer, got '%s'\n",
-                 flag, value.c_str());
-    std::exit(1);
-  }
-  return *v;
-}
-
-double require_double(const char* flag, const std::string& value) {
-  const auto v = parse_double(value);
-  if (!v) {
-    std::fprintf(stderr, "%s expects a finite number, got '%s'\n", flag,
-                 value.c_str());
-    std::exit(1);
-  }
-  return *v;
-}
-
-cache::CachePolicy require_cache_policy(const char* flag,
-                                        const std::string& value) {
-  const auto policy = cache::parse_cache_policy(value);
-  if (!policy) {
-    std::fprintf(stderr, "%s expects off|step|shared, got '%s'\n", flag,
-                 value.c_str());
-    std::exit(1);
-  }
-  return *policy;
-}
-
-simd::Mode require_simd_mode(const char* flag, const std::string& value) {
-  const auto mode = simd::parse_simd_mode(value);
-  if (!mode) {
-    std::fprintf(stderr, "%s expects auto|avx2|scalar, got '%s'\n", flag,
-                 value.c_str());
-    std::exit(1);
-  }
-  return *mode;
-}
-
-parallel::NumaMode require_numa_mode(const char* flag,
-                                     const std::string& value) {
-  const auto mode = parallel::parse_numa_mode(value);
-  if (!mode) {
-    std::fprintf(stderr, "%s expects off|auto|on, got '%s'\n", flag,
-                 value.c_str());
-    std::exit(1);
-  }
-  return *mode;
 }
 
 int run_campaign(int argc, char** argv) {
@@ -231,119 +198,51 @@ int run_campaign(int argc, char** argv) {
   std::string cache_save_path;
 
   for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help") {
+    if (std::strcmp(argv[i], "--help") == 0) {
       print_help();
       return 0;
     }
-    if (arg == "--jobs" || arg == "--workers" || arg == "--cache" ||
-        arg == "--cache-mem" || arg == "--cache-load" ||
-        arg == "--cache-save" || arg == "--simd" || arg == "--numa" ||
-        arg == "--trace" || arg == "--metrics-out" || arg == "--catalog" ||
-        arg == "--shards") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s expects a value\n", arg.c_str());
-        return 1;
-      }
-      const char* value = argv[++i];
-      if (arg == "--jobs") {
-        config.job_concurrency = static_cast<unsigned>(
-            require_int("--jobs", value, limits::kMaxJobs));
-      } else if (arg == "--workers") {
-        config.total_workers = static_cast<unsigned>(
-            require_int("--workers", value, limits::kMaxWorkers));
-      } else if (arg == "--cache") {
-        config.cache_policy = require_cache_policy("--cache", value);
-      } else if (arg == "--cache-mem") {
-        config.cache_mem_bytes =
-            static_cast<std::size_t>(
-                require_int("--cache-mem", value, limits::kMaxCacheMemMiB))
-            << 20;
-      } else if (arg == "--cache-load") {
-        cache_load_path = value;
-      } else if (arg == "--cache-save") {
-        cache_save_path = value;
-      } else if (arg == "--simd") {
-        config.simd_mode = require_simd_mode("--simd", value);
-      } else if (arg == "--numa") {
-        config.numa_mode = require_numa_mode("--numa", value);
-      } else if (arg == "--trace") {
-        config.trace_out = std::strcmp(value, "none") == 0 ? "" : value;
-      } else if (arg == "--metrics-out") {
-        config.metrics_out = std::strcmp(value, "none") == 0 ? "" : value;
-      } else if (arg == "--shards") {
-        shards = static_cast<unsigned>(
-            require_int("--shards", value, limits::kMaxShards));
-      } else {
+    const auto key_value = next_key(argc, argv, i, "campaign");
+    if (!key_value) return 1;
+    const auto& [key, value] = *key_value;
+    try {
+      if (is_catalog_key(key)) {
+        catalog_inline_text += key + "=" + value + "\n";
+      } else if (key == "catalog") {
         std::ifstream file(value);
-        if (!file) {
-          std::fprintf(stderr, "cannot open catalog file %s\n", value);
-          return 1;
-        }
+        if (!file) throw IoError("cannot open catalog file " + value);
         std::ostringstream text;
         text << file.rdbuf();
         catalog_file_text += text.str() + "\n";
+      } else if (key == "shards") {
+        shards = static_cast<unsigned>(
+            limits::int_value(key, value, limits::range::shards));
+      } else if (key == "cache_load") {
+        cache_load_path = value;
+      } else if (key == "cache_save") {
+        cache_save_path = value;
+      } else if (key == "jsonl") {
+        jsonl_path = value;
+      } else if (key == "csv") {
+        csv_path = value;
+      } else if (key == "summary") {
+        summary_path = value;
+      } else if (key == "timings") {
+        if (value != "wall" && value != "zero")
+          throw InvalidArgument("key 'timings' expects wall|zero, got '" +
+                                value + "'");
+        report_options.zero_timings = value == "zero";
+      } else if (!service::set_campaign_key(config, key, value)) {
+        throw InvalidArgument("unknown campaign key: " + key);
       }
-      continue;
-    }
-    if (arg.rfind("-", 0) == 0) {
-      std::fprintf(stderr, "unknown flag '%s' for campaign (see --help)\n",
-                   arg.c_str());
-      return 1;
-    }
-
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "campaign argument is not key=value: %s\n",
-                   arg.c_str());
-      return 1;
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    if (is_catalog_key(key)) {
-      catalog_inline_text += arg + "\n";
-    } else if (key == "method") {
-      config.method = value;
-    } else if (key == "seed") {
-      config.seed = require_uint64("seed", value);
-    } else if (key == "generations") {
-      config.generations =
-          require_int("generations", value, limits::kMaxGenerations);
-    } else if (key == "fitness_threshold") {
-      config.fitness_threshold =
-          require_double("fitness_threshold", value);
-    } else if (key == "population") {
-      config.population = static_cast<std::size_t>(
-          require_int("population", value, limits::kMaxPopulation));
-    } else if (key == "offspring") {
-      config.offspring = static_cast<std::size_t>(
-          require_int("offspring", value, limits::kMaxPopulation));
-    } else if (key == "novelty_k") {
-      config.novelty_k =
-          require_int("novelty_k", value, limits::kMaxNoveltyK);
-    } else if (key == "islands") {
-      config.islands = require_int("islands", value, limits::kMaxIslands);
-    } else if (key == "jsonl") {
-      jsonl_path = value;
-    } else if (key == "csv") {
-      csv_path = value;
-    } else if (key == "summary") {
-      summary_path = value;
-    } else if (key == "timings") {
-      if (value != "wall" && value != "zero") {
-        std::fprintf(stderr, "timings expects wall|zero, got '%s'\n",
-                     value.c_str());
-        return 1;
-      }
-      report_options.zero_timings = value == "zero";
-    } else {
-      std::fprintf(stderr, "unknown campaign key: %s\n", key.c_str());
+    } catch (const Error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }
   }
 
   if (!cache_load_path.empty() || !cache_save_path.empty()) {
-    if (config.cache_policy != cache::CachePolicy::kShared) {
+    if (config.spec.cache_policy != cache::CachePolicy::kShared) {
       std::fprintf(stderr,
                    "--cache-load/--cache-save need --cache shared (the "
                    "snapshot is the shared cache)\n");
@@ -389,7 +288,7 @@ int run_campaign(int argc, char** argv) {
     std::shared_ptr<cache::SharedScenarioCache> persistent_cache;
     if (!cache_load_path.empty() || !cache_save_path.empty()) {
       persistent_cache = std::make_shared<cache::SharedScenarioCache>(
-          config.cache_mem_bytes);
+          config.exec.cache_mem_bytes);
       if (!cache_load_path.empty()) {
         const cache::RestoreStats restored =
             cache::load_cache(*persistent_cache, cache_load_path);
@@ -398,7 +297,8 @@ int run_campaign(int argc, char** argv) {
             "rejected by the %.0f MiB budget)\n",
             restored.restored, restored.entries_in_file,
             cache_load_path.c_str(), restored.evictions, restored.rejected,
-            static_cast<double>(config.cache_mem_bytes) / (1024.0 * 1024.0));
+            static_cast<double>(config.exec.cache_mem_bytes) /
+                (1024.0 * 1024.0));
       }
       config.shared_cache = persistent_cache;
     }
@@ -456,11 +356,11 @@ int run_campaign(int argc, char** argv) {
       service::write_campaign_csv(result, csv_path, report_options);
       std::printf("wrote %s\n", csv_path.c_str());
     }
-    if (!config.trace_out.empty())
-      std::printf("wrote %s%s\n", config.trace_out.c_str(),
+    if (!config.exec.trace_out.empty())
+      std::printf("wrote %s%s\n", config.exec.trace_out.c_str(),
                   shards > 0 ? ".shard<k> (one per shard)" : "");
-    if (!config.metrics_out.empty())
-      std::printf("wrote %s\n", config.metrics_out.c_str());
+    if (!config.exec.metrics_out.empty())
+      std::printf("wrote %s\n", config.exec.metrics_out.c_str());
     if (summary_path != "none") {
       std::ofstream out(summary_path);
       if (!out) {
@@ -491,135 +391,18 @@ int run_serve(int argc, char** argv) {
   serve::ServeConfig config;
 
   for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help") {
+    if (std::strcmp(argv[i], "--help") == 0) {
       print_help();
       return 0;
     }
-    if (arg == "--host" || arg == "--port" || arg == "--port-file" ||
-        arg == "--jobs" || arg == "--workers" || arg == "--queue" ||
-        arg == "--cache-mem" || arg == "--cache-load" ||
-        arg == "--cache-save" || arg == "--simd" || arg == "--numa" ||
-        arg == "--trace" || arg == "--metrics-out") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s expects a value\n", arg.c_str());
-        return 1;
-      }
-      const char* value = argv[++i];
-      if (arg == "--host") {
-        config.host = value;
-      } else if (arg == "--port") {
-        const auto port = parse_int(value);
-        if (!port || *port < 0 || *port > 65535) {
-          std::fprintf(stderr, "--port expects 0..65535, got '%s'\n", value);
-          return 1;
-        }
-        config.port = *port;
-      } else if (arg == "--port-file") {
-        config.port_file = value;
-      } else if (arg == "--jobs") {
-        config.job_slots = static_cast<unsigned>(
-            require_int("--jobs", value, limits::kMaxJobs));
-      } else if (arg == "--workers") {
-        config.total_workers = static_cast<unsigned>(
-            require_int("--workers", value, limits::kMaxWorkers));
-      } else if (arg == "--queue") {
-        config.queue_capacity = static_cast<std::size_t>(
-            require_int("--queue", value, limits::kMaxQueue));
-      } else if (arg == "--cache-mem") {
-        config.cache_mem_bytes =
-            static_cast<std::size_t>(
-                require_int("--cache-mem", value, limits::kMaxCacheMemMiB))
-            << 20;
-      } else if (arg == "--cache-load") {
-        config.cache_load = value;
-      } else if (arg == "--cache-save") {
-        config.cache_save = value;
-      } else if (arg == "--simd") {
-        config.simd_mode = require_simd_mode("--simd", value);
-      } else if (arg == "--numa") {
-        config.numa_mode = require_numa_mode("--numa", value);
-      } else if (arg == "--trace") {
-        config.trace_out = std::strcmp(value, "none") == 0 ? "" : value;
-      } else {
-        config.metrics_out = std::strcmp(value, "none") == 0 ? "" : value;
-      }
-      continue;
-    }
-    if (arg.rfind("-", 0) == 0) {
-      std::fprintf(stderr, "unknown flag '%s' for serve (see --help)\n",
-                   arg.c_str());
-      return 1;
-    }
-
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "serve argument is not key=value: %s\n",
-                   arg.c_str());
-      return 1;
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    if (key == "seed") {
-      config.seed = require_uint64("seed", value);
-    } else if (key == "terrain") {
-      const auto terrain = synth::parse_terrain_family(value);
-      if (!terrain) {
-        std::fprintf(stderr, "terrain expects plains|hills|rugged, got '%s'\n",
-                     value.c_str());
-        return 1;
-      }
-      config.default_fire.terrain = *terrain;
-    } else if (key == "weather") {
-      const auto weather = synth::parse_weather_regime(value);
-      if (!weather) {
-        std::fprintf(stderr,
-                     "weather expects steady|wind_shift|diurnal, got '%s'\n",
-                     value.c_str());
-        return 1;
-      }
-      config.default_fire.weather = *weather;
-    } else if (key == "ignition") {
-      const auto ignition = synth::parse_ignition_pattern(value);
-      if (!ignition) {
-        std::fprintf(stderr,
-                     "ignition expects center|offset|edge|corner, got '%s'\n",
-                     value.c_str());
-        return 1;
-      }
-      config.default_fire.ignition = *ignition;
-    } else if (key == "size") {
-      config.default_fire.size =
-          require_int("size", value, limits::kMaxGridSize);
-    } else if (key == "steps") {
-      config.default_fire.steps =
-          require_int("steps", value, limits::kMaxSteps);
-    } else if (key == "step_minutes") {
-      config.default_fire.step_minutes = require_double("step_minutes", value);
-    } else if (key == "noise") {
-      config.default_fire.observation_noise = require_double("noise", value);
-    } else if (key == "method") {
-      config.default_spec.method = value;
-    } else if (key == "generations") {
-      config.default_spec.generations =
-          require_int("generations", value, limits::kMaxGenerations);
-    } else if (key == "fitness_threshold") {
-      config.default_spec.fitness_threshold =
-          require_double("fitness_threshold", value);
-    } else if (key == "population") {
-      config.default_spec.population = static_cast<std::size_t>(
-          require_int("population", value, limits::kMaxPopulation));
-    } else if (key == "offspring") {
-      config.default_spec.offspring = static_cast<std::size_t>(
-          require_int("offspring", value, limits::kMaxPopulation));
-    } else if (key == "novelty_k") {
-      config.default_spec.novelty_k =
-          require_int("novelty_k", value, limits::kMaxNoveltyK);
-    } else if (key == "islands") {
-      config.default_spec.islands =
-          require_int("islands", value, limits::kMaxIslands);
-    } else {
-      std::fprintf(stderr, "unknown serve key: %s\n", key.c_str());
+    const auto key_value = next_key(argc, argv, i, "serve");
+    if (!key_value) return 1;
+    const auto& [key, value] = *key_value;
+    try {
+      if (!serve::set_serve_key(config, key, value))
+        throw InvalidArgument("unknown serve key: " + key);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }
   }
@@ -652,70 +435,9 @@ int run_serve(int argc, char** argv) {
 int run_single(int argc, char** argv) {
   std::ostringstream config_text;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--workers") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--workers expects a value\n");
-        return 1;
-      }
-      config_text << "workers=" << argv[++i] << '\n';
-      continue;
-    }
-    if (std::strcmp(argv[i], "--cache") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--cache expects a value\n");
-        return 1;
-      }
-      config_text << "cache=" << argv[++i] << '\n';
-      continue;
-    }
-    if (std::strcmp(argv[i], "--cache-mem") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--cache-mem expects a value\n");
-        return 1;
-      }
-      config_text << "cache_mem=" << argv[++i] << '\n';
-      continue;
-    }
-    if (std::strcmp(argv[i], "--simd") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--simd expects a value\n");
-        return 1;
-      }
-      config_text << "simd=" << argv[++i] << '\n';
-      continue;
-    }
-    if (std::strcmp(argv[i], "--numa") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--numa expects a value\n");
-        return 1;
-      }
-      config_text << "numa=" << argv[++i] << '\n';
-      continue;
-    }
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--trace expects a value\n");
-        return 1;
-      }
-      config_text << "trace=" << argv[++i] << '\n';
-      continue;
-    }
-    if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--metrics-out expects a value\n");
-        return 1;
-      }
-      config_text << "metrics_out=" << argv[++i] << '\n';
-      continue;
-    }
     if (std::strcmp(argv[i], "--help") == 0) {
       print_help();
       return 0;
-    }
-    if (argv[i][0] == '-') {
-      std::fprintf(stderr, "unknown flag '%s' for single-run mode (see --help)\n",
-                   argv[i]);
-      return 1;
     }
     if (argv[i][0] == '@') {
       std::ifstream file(argv[i] + 1);
@@ -724,9 +446,11 @@ int run_single(int argc, char** argv) {
         return 1;
       }
       config_text << file.rdbuf() << '\n';
-    } else {
-      config_text << argv[i] << '\n';
+      continue;
     }
+    const auto key_value = next_key(argc, argv, i, "single-run mode");
+    if (!key_value) return 1;
+    config_text << key_value->first << '=' << key_value->second << '\n';
   }
 
   ess::RunSpec spec;
@@ -752,10 +476,10 @@ int run_single(int argc, char** argv) {
   }
   table.print();
   std::printf("mean prediction quality: %.3f\n", result.mean_quality());
-  if (!spec.trace_out.empty())
-    std::printf("wrote %s\n", spec.trace_out.c_str());
-  if (!spec.metrics_out.empty())
-    std::printf("wrote %s\n", spec.metrics_out.c_str());
+  if (!spec.exec.trace_out.empty())
+    std::printf("wrote %s\n", spec.exec.trace_out.c_str());
+  if (!spec.exec.metrics_out.empty())
+    std::printf("wrote %s\n", spec.exec.metrics_out.c_str());
   return 0;
 }
 

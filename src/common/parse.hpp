@@ -1,13 +1,13 @@
 // Strict numeric parsing for configuration values.
 //
-// Every key=value surface in the system (ess::parse_run_spec,
-// synth::parse_catalog_spec, the essns_cli flag handlers) must reject
-// malformed numbers loudly rather than truncate them the way the raw strto*
-// family does. These helpers parse the *whole* string or return nullopt —
-// leading whitespace (which std::stoi/stod/stoull silently skip before the
-// consumed-character count starts), trailing junk, overflow, hex-float
-// spellings, and (for the unsigned parser) sign prefixes all fail — leaving
-// the caller to pick its error channel (throw vs exit).
+// Every key=value surface in the system (through the value parsers of
+// common/limits.hpp) must reject malformed numbers loudly rather than
+// truncate them the way the raw strto* family does. These helpers parse the
+// *whole* string or return nullopt — leading whitespace (which
+// std::stoi/stod/stoull silently skip before the consumed-character count
+// starts), trailing junk, overflow, hex-float spellings, and (for the
+// unsigned parser) sign prefixes all fail — leaving the caller to pick its
+// error channel.
 #pragma once
 
 #include <cctype>

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/limits.hpp"
-#include "common/parse.hpp"
 #include "core/ns_de.hpp"
 #include "obs/session.hpp"
 
@@ -50,6 +49,67 @@ const std::vector<std::string>& RunSpec::known_methods() {
   return methods;
 }
 
+void ExecOptions::apply(PipelineConfig& config) const {
+  config.cache_mem_bytes = cache_mem_bytes;
+  config.simd_mode = simd_mode;
+  config.numa_mode = numa_mode;
+}
+
+bool set_search_key(SearchSpec& spec, const std::string& key,
+                    const std::string& value) {
+  using limits::int_value;
+  if (key == "method") {
+    const auto& methods = RunSpec::known_methods();
+    if (std::find(methods.begin(), methods.end(), value) == methods.end())
+      throw InvalidArgument("unknown method: " + value);
+    spec.method = value;
+  } else if (key == "generations") {
+    spec.generations = int_value(key, value, limits::range::generations);
+  } else if (key == "fitness_threshold") {
+    spec.fitness_threshold = limits::double_value(key, value);
+  } else if (key == "population") {
+    spec.population = static_cast<std::size_t>(
+        int_value(key, value, limits::range::population));
+  } else if (key == "offspring") {
+    spec.offspring = static_cast<std::size_t>(
+        int_value(key, value, limits::range::offspring));
+  } else if (key == "novelty_k") {
+    spec.novelty_k = int_value(key, value, limits::range::novelty_k);
+  } else if (key == "islands") {
+    spec.islands = int_value(key, value, limits::range::islands);
+  } else {
+    return false;
+  }
+  return true;
+}
+
+bool set_exec_key(ExecOptions& exec, const std::string& key,
+                  const std::string& value) {
+  if (key == "cache_mem") {
+    exec.cache_mem_bytes = static_cast<std::size_t>(limits::int_value(
+                               key, value, limits::range::cache_mem_mib))
+                           << 20;
+  } else if (key == "simd") {
+    exec.simd_mode = limits::enum_value(
+        key, value, simd::parse_simd_mode(value), "auto|avx2|scalar");
+  } else if (key == "numa") {
+    exec.numa_mode = limits::enum_value(
+        key, value, parallel::parse_numa_mode(value), "off|auto|on");
+  } else if (key == "trace") {
+    exec.trace_out = value == "none" ? "" : value;
+  } else if (key == "metrics_out") {
+    exec.metrics_out = value == "none" ? "" : value;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+cache::CachePolicy cache_policy_value(const std::string& value) {
+  return limits::enum_value("cache", value, cache::parse_cache_policy(value),
+                            "off|step|shared");
+}
+
 RunSpec parse_run_spec(std::istream& in) {
   RunSpec spec;
   std::string line;
@@ -66,81 +126,26 @@ RunSpec parse_run_spec(std::istream& in) {
     const std::string value = trim(stripped.substr(eq + 1));
     ESSNS_REQUIRE(!value.empty(), "config key '" + key + "' has empty value");
 
-    auto as_int = [&](int lo, int hi) {
-      const auto v = limits::parse_int_in(value, lo, hi);
-      ESSNS_REQUIRE(v.has_value(), "bad integer for config key '" + key +
-                                       "': " + value + " (integer in [" +
-                                       std::to_string(lo) + ", " +
-                                       std::to_string(hi) + "])");
-      return *v;
-    };
-    auto as_double = [&] {
-      const auto v = parse_double(value);
-      ESSNS_REQUIRE(v.has_value(),
-                    "bad number for config key '" + key + "': " + value);
-      return *v;
-    };
-
-    if (key == "workload") spec.workload = value;
-    else if (key == "size") spec.size = as_int(8, limits::kMaxGridSize);
-    else if (key == "method") spec.method = value;
-    else if (key == "seed") {
-      const auto v = parse_uint64(value);
-      ESSNS_REQUIRE(v.has_value(),
-                    "bad unsigned integer for config key 'seed': " + value);
-      spec.seed = *v;
+    if (set_search_key(spec, key, value) || set_exec_key(spec.exec, key, value))
+      continue;
+    if (key == "workload") {
+      ESSNS_REQUIRE(value == "plains" || value == "hills" ||
+                        value == "wind_shift",
+                    "unknown workload: " + value);
+      spec.workload = value;
+    } else if (key == "size") {
+      spec.size = limits::int_value(key, value, {8, limits::kMaxGridSize});
+    } else if (key == "seed") {
+      spec.seed = limits::u64_value(key, value);
+    } else if (key == "workers") {
+      spec.workers = static_cast<unsigned>(
+          limits::int_value(key, value, limits::range::workers));
+    } else if (key == "cache") {
+      spec.cache_policy = cache_policy_value(value);
+    } else {
+      throw InvalidArgument("unknown config key: " + key);
     }
-    else if (key == "generations")
-      spec.generations = as_int(1, limits::kMaxGenerations);
-    else if (key == "fitness_threshold") spec.fitness_threshold = as_double();
-    else if (key == "population")
-      spec.population =
-          static_cast<std::size_t>(as_int(2, limits::kMaxPopulation));
-    else if (key == "offspring")
-      spec.offspring =
-          static_cast<std::size_t>(as_int(1, limits::kMaxPopulation));
-    else if (key == "workers")
-      spec.workers = static_cast<unsigned>(as_int(1, limits::kMaxWorkers));
-    else if (key == "novelty_k")
-      spec.novelty_k = as_int(0, limits::kMaxNoveltyK);
-    else if (key == "islands") spec.islands = as_int(1, limits::kMaxIslands);
-    else if (key == "cache") {
-      const auto policy = cache::parse_cache_policy(value);
-      if (!policy)
-        throw InvalidArgument(
-            "config key 'cache' expects off|step|shared, got: " + value);
-      spec.cache_policy = *policy;
-    }
-    else if (key == "cache_mem")
-      spec.cache_mem_mb =
-          static_cast<std::size_t>(as_int(1, limits::kMaxCacheMemMiB));
-    else if (key == "simd") {
-      const auto mode = simd::parse_simd_mode(value);
-      if (!mode)
-        throw InvalidArgument(
-            "config key 'simd' expects auto|avx2|scalar, got: " + value);
-      spec.simd_mode = *mode;
-    }
-    else if (key == "numa") {
-      const auto mode = parallel::parse_numa_mode(value);
-      if (!mode)
-        throw InvalidArgument(
-            "config key 'numa' expects off|auto|on, got: " + value);
-      spec.numa_mode = *mode;
-    }
-    else if (key == "trace")
-      spec.trace_out = value == "none" ? "" : value;
-    else if (key == "metrics_out")
-      spec.metrics_out = value == "none" ? "" : value;
-    else throw InvalidArgument("unknown config key: " + key);
   }
-  const auto& methods = RunSpec::known_methods();
-  ESSNS_REQUIRE(std::find(methods.begin(), methods.end(), spec.method) !=
-                    methods.end(),
-                "unknown method: " + spec.method);
-  ESSNS_REQUIRE(spec.workload == "plains" || spec.workload == "hills" ||
-                    spec.workload == "wind_shift",
-                "unknown workload: " + spec.workload);
   return spec;
 }
 
@@ -155,7 +160,7 @@ synth::Workload make_workload(const RunSpec& spec) {
   return synth::make_plains(spec.size);
 }
 
-std::unique_ptr<Optimizer> make_optimizer(const RunSpec& spec) {
+std::unique_ptr<Optimizer> make_optimizer(const SearchSpec& spec) {
   if (spec.method == "ess-ga") {
     ea::GaConfig ga;
     ga.population_size = spec.population;
@@ -197,7 +202,7 @@ std::unique_ptr<Optimizer> make_optimizer(const RunSpec& spec) {
 PipelineResult run_spec(const RunSpec& spec) {
   // Run-wide observability: a no-op when both paths are empty, so plain
   // runs never touch the global recorder/registry slots.
-  obs::ObsSession obs_session(spec.trace_out, spec.metrics_out);
+  obs::ObsSession obs_session(spec.exec.trace_out, spec.exec.metrics_out);
   synth::Workload workload = make_workload(spec);
   Rng truth_rng(spec.seed);
   const synth::GroundTruth truth = synth::generate_ground_truth(
@@ -235,9 +240,7 @@ PipelineResult run_spec(const RunSpec& spec) {
   config.stop = {spec.generations, spec.fitness_threshold};
   config.workers = spec.workers;
   config.cache_policy = spec.cache_policy;
-  config.cache_mem_bytes = spec.cache_mem_mb << 20;
-  config.simd_mode = spec.simd_mode;
-  config.numa_mode = spec.numa_mode;
+  spec.exec.apply(config);
   PredictionPipeline pipeline(workload.environment, truth, config);
   auto optimizer = make_optimizer(spec);
   PipelineResult result = pipeline.run(*optimizer, rng);

@@ -1,12 +1,12 @@
 #include "serve/protocol.hpp"
 
+#include <climits>
 #include <cstdio>
 #include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/limits.hpp"
-#include "common/parse.hpp"
 
 namespace essns::serve {
 namespace {
@@ -17,34 +17,6 @@ std::vector<std::string> split_tokens(const std::string& line) {
   std::string token;
   while (in >> token) tokens.push_back(token);
   return tokens;
-}
-
-/// An integer in [lo, hi]. The upper bounds keep one request from asking
-/// for unbounded memory or work (size=100000 would be an 80 GB grid).
-int require_int(const std::string& key, const std::string& value, int lo,
-                int hi) {
-  const auto v = limits::parse_int_in(value, lo, hi);
-  if (!v)
-    throw InvalidArgument("bad value for '" + key + "': " + value +
-                          " (integer in [" + std::to_string(lo) + ", " +
-                          std::to_string(hi) + "])");
-  return *v;
-}
-
-std::uint64_t require_u64(const std::string& key, const std::string& value) {
-  const auto v = parse_uint64(value);
-  if (!v)
-    throw InvalidArgument("bad value for '" + key + "': " + value +
-                          " (unsigned 64-bit integer)");
-  return *v;
-}
-
-double require_double(const std::string& key, const std::string& value) {
-  const auto v = parse_double(value);
-  if (!v)
-    throw InvalidArgument("bad value for '" + key + "': " + value +
-                          " (finite number)");
-  return *v;
 }
 
 }  // namespace
@@ -61,11 +33,15 @@ const char* to_string(Verb verb) {
   return "?";
 }
 
-Request parse_request(const std::string& line) {
+Request parse_request(const std::string& line,
+                      const synth::WorkloadRequest& fire,
+                      const service::JobSpec& spec) {
   const std::vector<std::string> tokens = split_tokens(line);
   if (tokens.empty()) throw InvalidArgument("empty request");
 
   Request request;
+  request.fire = fire;
+  request.spec = spec;
   const std::string& verb = tokens.front();
   if (verb == "ping") request.verb = Verb::kPing;
   else if (verb == "predict") request.verb = Verb::kPredict;
@@ -94,53 +70,14 @@ Request parse_request(const std::string& line) {
     if (key == "id" && (is_predict || is_repredict)) {
       request.id = value;
     } else if (key == "priority" && (is_predict || is_repredict)) {
-      const auto v = parse_int(value);
-      if (!v)
-        throw InvalidArgument("bad value for 'priority': " + value +
-                              " (integer)");
-      request.priority = *v;
-    } else if (key == "steps" && (is_predict || is_repredict)) {
-      request.steps = require_int(key, value, 2, limits::kMaxSteps);
-    } else if (key == "terrain" && is_predict) {
-      request.terrain = synth::parse_terrain_family(value);
-      if (!request.terrain)
-        throw InvalidArgument("bad value for 'terrain': " + value +
-                              " (plains|hills|rugged)");
-    } else if (key == "weather" && is_predict) {
-      request.weather = synth::parse_weather_regime(value);
-      if (!request.weather)
-        throw InvalidArgument("bad value for 'weather': " + value +
-                              " (steady|wind_shift|diurnal)");
-    } else if (key == "ignition" && is_predict) {
-      request.ignition = synth::parse_ignition_pattern(value);
-      if (!request.ignition)
-        throw InvalidArgument("bad value for 'ignition': " + value +
-                              " (center|offset|edge|corner)");
-    } else if (key == "size" && is_predict) {
-      request.size = require_int(key, value, 16, limits::kMaxGridSize);
-    } else if (key == "seed" && is_predict) {
-      request.seed = require_u64(key, value);
-    } else if (key == "step_minutes" && is_predict) {
-      request.step_minutes = require_double(key, value);
-    } else if (key == "noise" && is_predict) {
-      request.noise = require_double(key, value);
-    } else if (key == "method" && is_predict) {
-      request.method = value;
-    } else if (key == "generations" && is_predict) {
-      request.generations = require_int(key, value, 1, limits::kMaxGenerations);
-    } else if (key == "fitness_threshold" && is_predict) {
-      request.fitness_threshold = require_double(key, value);
-    } else if (key == "population" && is_predict) {
-      request.population = static_cast<std::size_t>(
-          require_int(key, value, 1, limits::kMaxPopulation));
-    } else if (key == "offspring" && is_predict) {
-      request.offspring = static_cast<std::size_t>(
-          require_int(key, value, 1, limits::kMaxPopulation));
-    } else if (key == "novelty_k" && is_predict) {
-      request.novelty_k = require_int(key, value, 1, limits::kMaxNoveltyK);
-    } else if (key == "islands" && is_predict) {
-      request.islands = require_int(key, value, 1, limits::kMaxIslands);
-    } else {
+      request.priority = limits::int_value(key, value, {INT_MIN, INT_MAX});
+    } else if (key == "steps" && is_repredict) {
+      synth::WorkloadRequest horizon;
+      synth::set_fire_key(horizon, key, value);
+      request.steps = horizon.steps;
+    } else if (!is_predict ||
+               !(synth::set_fire_key(request.fire, key, value) ||
+                 ess::set_search_key(request.spec, key, value))) {
       throw InvalidArgument("unknown key '" + key + "' for " +
                             to_string(request.verb));
     }

@@ -12,16 +12,19 @@
 //
 //   predict    — predict a NEW fire and start tracking it under `id`
 //     id=<name>            required; must not already be tracked
-//     terrain=plains|hills|rugged        size=<16..1024>
-//     weather=steady|wind_shift|diurnal  ignition=center|offset|edge|corner
-//     seed=<u64>           steps=<2..64>    step_minutes=<f>   noise=<f>
-//     method=<run-spec method>  generations=<1..1000>  fitness_threshold=<f>
-//     population=<1..4096>  offspring=<1..4096>  novelty_k=<1..1024>
-//     islands=<1..64>
+//     fire keys (synth::set_fire_key):
+//       terrain=plains|hills|rugged        size=<16..1024>
+//       weather=steady|wind_shift|diurnal  ignition=center|offset|edge|corner
+//       seed=<u64>  steps=<2..64>  step_minutes=<f>  noise=<f>
+//     search keys (ess::set_search_key):
+//       method=<run-spec method>  generations=<1..1000>  fitness_threshold=<f>
+//       population=<2..4096>  offspring=<1..4096>  novelty_k=<0..1024>
+//       islands=<1..64>
 //     priority=<int>       (higher runs sooner)
-//     All optional keys default to the server's configuration. The
-//     integer ranges bound what one request can ask for (size=100000
-//     would be an 80 GB grid); <f> is any finite number.
+//     All optional keys default to the server's configuration, whose serve
+//     keys go through the same parsers and bounds. The integer ranges
+//     bound what one request can ask for (size=100000 would be an 80 GB
+//     grid); <f> is any finite number.
 //
 //   repredict  — re-predict the tracked fire `id` at a later interval
 //     id=<name>            required; must be tracked
@@ -62,39 +65,25 @@ enum class Verb { kPing, kPredict, kRepredict, kMetrics, kStats, kShutdown };
 
 const char* to_string(Verb verb);
 
-/// One parsed request line. Optional fields are overrides over the server's
-/// defaults; absent means "use the default".
+/// One parsed request line.
 struct Request {
   Verb verb = Verb::kPing;
   std::string id;  ///< required for predict/repredict
-
-  // Fire parameters (predict only; repredict keeps the tracked fire's).
-  std::optional<synth::TerrainFamily> terrain;
-  std::optional<int> size;
-  std::optional<synth::WeatherRegime> weather;
-  std::optional<synth::IgnitionPattern> ignition;
-  std::optional<std::uint64_t> seed;
-  std::optional<double> step_minutes;
-  std::optional<double> noise;
-
-  // Horizon (predict and repredict).
+  /// predict: the server's default fire and search spec with the request's
+  /// keys applied.
+  synth::WorkloadRequest fire;
+  service::JobSpec spec;
+  /// repredict: the new horizon, when given.
   std::optional<int> steps;
-
-  // Search spec overrides (predict only).
-  std::optional<std::string> method;
-  std::optional<int> generations;
-  std::optional<double> fitness_threshold;
-  std::optional<std::size_t> population;
-  std::optional<std::size_t> offspring;
-  std::optional<int> novelty_k;
-  std::optional<int> islands;
-
-  std::optional<int> priority;
+  int priority = 0;
 };
 
-/// Parse one request line (no trailing newline). Throws InvalidArgument
-/// with a message naming the offending verb/key/value.
-Request parse_request(const std::string& line);
+/// Parse one request line (no trailing newline) over the server defaults
+/// `fire` and `spec`. Throws InvalidArgument with a message naming the
+/// offending verb/key/value.
+Request parse_request(const std::string& line,
+                      const synth::WorkloadRequest& fire = {},
+                      const service::JobSpec& spec = {});
 
 /// %.17g — the round-trip-exact rendering the JSONL reports use; response
 /// doubles follow the same discipline so byte comparison is meaningful.

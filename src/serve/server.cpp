@@ -15,6 +15,7 @@
 
 #include "cache/cache_io.hpp"
 #include "common/error.hpp"
+#include "common/limits.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/signals.hpp"
@@ -38,6 +39,38 @@ void close_fd(int& fd) {
 
 }  // namespace
 
+bool set_serve_key(ServeConfig& config, const std::string& key,
+                   const std::string& value) {
+  using limits::int_value;
+  if (key == "seed") {  // before the fire keys: a request's seed is the fire's
+    config.seed = limits::u64_value(key, value);
+  } else if (key == "host") {
+    config.host = value;
+  } else if (key == "port") {
+    config.port = int_value(key, value, {0, 65535});
+  } else if (key == "port_file") {
+    config.port_file = value;
+  } else if (key == "jobs") {
+    config.job_slots =
+        static_cast<unsigned>(int_value(key, value, limits::range::jobs));
+  } else if (key == "workers") {
+    config.total_workers =
+        static_cast<unsigned>(int_value(key, value, limits::range::workers));
+  } else if (key == "queue") {
+    config.queue_capacity =
+        static_cast<std::size_t>(int_value(key, value, limits::range::queue));
+  } else if (key == "cache_load") {
+    config.cache_load = value;
+  } else if (key == "cache_save") {
+    config.cache_save = value;
+  } else {
+    return ess::set_exec_key(config.exec, key, value) ||
+           synth::set_fire_key(config.default_fire, key, value) ||
+           ess::set_search_key(config.default_spec, key, value);
+  }
+  return true;
+}
+
 Server::Server(ServeConfig config) : config_(std::move(config)) {
   ESSNS_REQUIRE(config_.port >= 0 && config_.port <= 65535,
                 "serve: port must be in [0, 65535]");
@@ -57,8 +90,8 @@ Server::~Server() {
 void Server::start() {
   ESSNS_REQUIRE(!engine_, "serve: start() called twice");
 
-  auto cache =
-      std::make_shared<cache::SharedScenarioCache>(config_.cache_mem_bytes);
+  auto cache = std::make_shared<cache::SharedScenarioCache>(
+      config_.exec.cache_mem_bytes);
   if (!config_.cache_load.empty()) {
     const cache::RestoreStats stats =
         cache::load_cache(*cache, config_.cache_load);
@@ -69,11 +102,8 @@ void Server::start() {
   engine_config.job_slots = config_.job_slots;
   engine_config.total_workers = config_.total_workers;
   engine_config.queue_capacity = config_.queue_capacity;
+  engine_config.exec = config_.exec;
   engine_config.shared_cache = std::move(cache);
-  engine_config.simd_mode = config_.simd_mode;
-  engine_config.numa_mode = config_.numa_mode;
-  engine_config.trace_out = config_.trace_out;
-  engine_config.metrics_out = config_.metrics_out;
   // The metrics verb scrapes the registry live, so install one even when no
   // metrics file was requested.
   engine_config.collect_metrics = true;
@@ -325,7 +355,7 @@ void Server::handle_line(std::uint64_t conn_id, const std::string& line) {
 
   Request request;
   try {
-    request = parse_request(line);
+    request = parse_request(line, config_.default_fire, config_.default_spec);
   } catch (const Error& error) {
     obs::add_counter("serve.errors", 1);
     enqueue(conn_id, std::string("err bad request: ") + error.what());
@@ -374,23 +404,8 @@ void Server::submit_prediction(std::uint64_t conn_id,
                            " already tracked (use repredict)");
       return;
     }
-    fire = config_.default_fire;
-    spec = config_.default_spec;
-    if (request.terrain) fire.terrain = *request.terrain;
-    if (request.size) fire.size = *request.size;
-    if (request.weather) fire.weather = *request.weather;
-    if (request.ignition) fire.ignition = *request.ignition;
-    if (request.seed) fire.seed = *request.seed;
-    if (request.step_minutes) fire.step_minutes = *request.step_minutes;
-    if (request.noise) fire.observation_noise = *request.noise;
-    if (request.method) spec.method = *request.method;
-    if (request.generations) spec.generations = *request.generations;
-    if (request.fitness_threshold)
-      spec.fitness_threshold = *request.fitness_threshold;
-    if (request.population) spec.population = *request.population;
-    if (request.offspring) spec.offspring = *request.offspring;
-    if (request.novelty_k) spec.novelty_k = *request.novelty_k;
-    if (request.islands) spec.islands = *request.islands;
+    fire = request.fire;
+    spec = request.spec;
   } else {
     const auto it = fires_.find(request.id);
     if (it == fires_.end()) {
@@ -401,8 +416,8 @@ void Server::submit_prediction(std::uint64_t conn_id,
     }
     fire = it->second.fire;
     spec = it->second.spec;
+    if (request.steps) fire.steps = *request.steps;
   }
-  if (request.steps) fire.steps = *request.steps;
   // A serve engine exists to keep one cache warm across requests.
   spec.cache_policy = cache::CachePolicy::kShared;
 
@@ -420,7 +435,7 @@ void Server::submit_prediction(std::uint64_t conn_id,
   job.workload = workload;
   job.index = 0;  // every serve job is index 0: seed derivable from request
   job.campaign_seed = config_.seed;
-  job.priority = request.priority.value_or(0);
+  job.priority = request.priority;
   job.spec = spec;
   const std::uint64_t start_ns = obs::trace_now_ns();
   const std::string id = request.id;

@@ -53,11 +53,7 @@ struct ServeConfig {
   unsigned job_slots = 1;
   unsigned total_workers = 1;
   std::size_t queue_capacity = 16;
-  std::size_t cache_mem_bytes = cache::kDefaultCacheBytes;
-  simd::Mode simd_mode = simd::Mode::kAuto;
-  parallel::NumaMode numa_mode = parallel::NumaMode::kAuto;
-  std::string trace_out;
-  std::string metrics_out;
+  ess::ExecOptions exec;
 
   /// Cache snapshot to restore before serving ("" = start cold).
   std::string cache_load;
@@ -75,6 +71,14 @@ struct ServeConfig {
 
   std::size_t max_line_bytes = 1 << 16;
 };
+
+/// Set serve key `key` from `value`: host port port_file jobs workers queue
+/// cache_load cache_save seed, the execution keys, and the request
+/// defaults — every fire key but seed (which is the server's campaign
+/// seed here) and every search key. Returns false for any other key;
+/// throws InvalidArgument naming the key on a bad value.
+bool set_serve_key(ServeConfig& config, const std::string& key,
+                   const std::string& value);
 
 class Server {
  public:

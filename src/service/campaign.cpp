@@ -5,26 +5,32 @@
 #include <mutex>
 
 #include "common/error.hpp"
+#include "common/limits.hpp"
 #include "ess/config.hpp"
 #include "obs/session.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace essns::service {
-namespace {
-
-ess::RunSpec to_run_spec(const CampaignConfig& config) {
-  ess::RunSpec spec;
-  spec.method = config.method;
-  spec.generations = config.generations;
-  spec.fitness_threshold = config.fitness_threshold;
-  spec.population = config.population;
-  spec.offspring = config.offspring;
-  spec.novelty_k = config.novelty_k;
-  spec.islands = config.islands;
-  return spec;
+bool set_campaign_key(CampaignConfig& config, const std::string& key,
+                      const std::string& value) {
+  if (ess::set_search_key(config.spec, key, value) ||
+      ess::set_exec_key(config.exec, key, value))
+    return true;
+  if (key == "seed") {
+    config.seed = limits::u64_value(key, value);
+  } else if (key == "jobs") {
+    config.job_concurrency = static_cast<unsigned>(
+        limits::int_value(key, value, limits::range::jobs));
+  } else if (key == "workers") {
+    config.total_workers = static_cast<unsigned>(
+        limits::int_value(key, value, limits::range::workers));
+  } else if (key == "cache") {
+    config.spec.cache_policy = ess::cache_policy_value(value);
+  } else {
+    return false;
+  }
+  return true;
 }
-
-}  // namespace
 
 std::size_t CampaignResult::succeeded() const {
   return static_cast<std::size_t>(
@@ -117,26 +123,13 @@ CampaignScheduler::CampaignScheduler(CampaignConfig config)
     : config_(std::move(config)) {
   ESSNS_REQUIRE(config_.job_concurrency >= 1, "job_concurrency >= 1");
   ESSNS_REQUIRE(config_.total_workers >= 1, "total_workers >= 1");
-  ESSNS_REQUIRE(config_.generations >= 1, "generations >= 1");
+  ESSNS_REQUIRE(config_.spec.generations >= 1, "generations >= 1");
   ESSNS_REQUIRE(config_.job_index_stride >= 1, "job_index_stride >= 1");
   // Fail fast on methods the job runner cannot build (e.g. essim-monitor).
-  (void)ess::make_optimizer(to_run_spec(config_));
+  (void)ess::make_optimizer(config_.spec);
 }
 
-JobSpec CampaignScheduler::job_spec() const {
-  JobSpec spec;
-  spec.method = config_.method;
-  spec.generations = config_.generations;
-  spec.fitness_threshold = config_.fitness_threshold;
-  spec.population = config_.population;
-  spec.offspring = config_.offspring;
-  spec.novelty_k = config_.novelty_k;
-  spec.islands = config_.islands;
-  spec.max_solution_maps = config_.max_solution_maps;
-  spec.cache_policy = config_.cache_policy;
-  spec.keep_final_maps = config_.keep_final_maps;
-  return spec;
-}
+JobSpec CampaignScheduler::job_spec() const { return config_.spec; }
 
 unsigned CampaignScheduler::workers_per_job(std::size_t job_count) const {
   if (config_.forced_workers_per_job > 0) return config_.forced_workers_per_job;
@@ -166,22 +159,21 @@ JobRecord CampaignScheduler::run_job(
     const synth::GroundTruth truth = synth::generate_truth(workload, truth_rng);
 
     ess::PipelineConfig pipeline_config;
-    pipeline_config.stop = {config_.generations, config_.fitness_threshold};
+    const JobSpec& spec = config_.spec;
+    pipeline_config.stop = {spec.generations, spec.fitness_threshold};
     pipeline_config.workers = workers;
-    pipeline_config.max_solution_maps = config_.max_solution_maps;
-    pipeline_config.cache_policy = config_.cache_policy;
-    pipeline_config.cache_mem_bytes = config_.cache_mem_bytes;
+    pipeline_config.max_solution_maps = spec.max_solution_maps;
+    pipeline_config.cache_policy = spec.cache_policy;
+    config_.exec.apply(pipeline_config);
     pipeline_config.shared_cache = shared_cache;
-    pipeline_config.simd_mode = config_.simd_mode;
-    pipeline_config.numa_mode = config_.numa_mode;
     ess::PredictionPipeline pipeline(workload.environment, truth,
                                      pipeline_config);
 
-    auto optimizer = ess::make_optimizer(to_run_spec(config_));
+    auto optimizer = ess::make_optimizer(spec);
     Rng rng(record.seed ^ 0x5eedULL);
     record.result = pipeline.run(*optimizer, rng);
     record.status = JobStatus::kSucceeded;
-    if (config_.keep_final_maps) {
+    if (spec.keep_final_maps) {
       record.final_probability = pipeline.last_probability();
       record.final_prediction = pipeline.last_prediction();
     }
@@ -205,7 +197,7 @@ CampaignResult CampaignScheduler::run(
   CampaignResult result;
   result.job_concurrency = config_.job_concurrency;
   result.workers_per_job = workers_per_job(workloads.size());
-  result.cache_policy = config_.cache_policy;
+  result.cache_policy = config_.spec.cache_policy;
   result.jobs.resize(workloads.size());
 
   // One engine for the batch: job_slots = the effective concurrency, queue
@@ -218,18 +210,14 @@ CampaignResult CampaignScheduler::run(
       config_.job_concurrency, std::max<std::size_t>(workloads.size(), 1)));
   engine_config.total_workers = config_.total_workers;
   engine_config.queue_capacity = std::max<std::size_t>(workloads.size(), 1);
-  engine_config.cache_mem_bytes = config_.cache_mem_bytes;
-  if (config_.cache_policy == cache::CachePolicy::kShared)
+  engine_config.exec = config_.exec;
+  if (config_.spec.cache_policy == cache::CachePolicy::kShared)
     engine_config.shared_cache = config_.shared_cache;
-  engine_config.simd_mode = config_.simd_mode;
-  engine_config.numa_mode = config_.numa_mode;
-  engine_config.trace_out = config_.trace_out;
-  engine_config.metrics_out = config_.metrics_out;
   engine_config.on_job_done = config_.on_job_done;
   PredictionEngine engine(engine_config);
 
   if (workloads.empty()) return result;
-  if (config_.cache_policy == cache::CachePolicy::kShared)
+  if (config_.spec.cache_policy == cache::CachePolicy::kShared)
     result.cache_mem_bytes = engine.shared_cache()->max_bytes();
 
   obs::SpanTimer wall("campaign");
@@ -237,7 +225,6 @@ CampaignResult CampaignScheduler::run(
   // Global job index of the i-th submitted workload: the identity mapping
   // for whole-catalog runs, a round-robin slice's own positions in sharded
   // ones (the seed and every report field derive from it).
-  const JobSpec spec = job_spec();
   std::vector<std::future<JobRecord>> records;
   records.reserve(workloads.size());
   for (std::size_t i = 0; i < workloads.size(); ++i) {
@@ -248,7 +235,7 @@ CampaignResult CampaignScheduler::run(
     request.index = config_.job_index_offset + i * config_.job_index_stride;
     request.campaign_seed = config_.seed;
     request.workers = result.workers_per_job;
-    request.spec = spec;
+    request.spec = config_.spec;
     Submission submission = engine.submit(std::move(request));
     // The queue was sized for the whole batch; anything but acceptance is a
     // scheduler bug, not a runtime condition.
@@ -261,7 +248,7 @@ CampaignResult CampaignScheduler::run(
     result.jobs[i] = records[i].get();
 
   result.wall_seconds = wall.stop();
-  if (config_.cache_policy == cache::CachePolicy::kShared)
+  if (config_.spec.cache_policy == cache::CachePolicy::kShared)
     result.shared_cache_stats = engine.shared_cache()->stats();
   return result;
 }
@@ -271,12 +258,13 @@ CampaignResult CampaignScheduler::run_reference(
   // Campaign-wide observability session: installs the recorder/registry
   // before any job starts, uninstalls + writes the output files on the way
   // out (the destructor covers the empty-workloads early return).
-  obs::ObsSession obs_session(config_.trace_out, config_.metrics_out);
+  obs::ObsSession obs_session(config_.exec.trace_out,
+                              config_.exec.metrics_out);
 
   CampaignResult result;
   result.job_concurrency = config_.job_concurrency;
   result.workers_per_job = workers_per_job(workloads.size());
-  result.cache_policy = config_.cache_policy;
+  result.cache_policy = config_.spec.cache_policy;
   result.jobs.resize(workloads.size());
   if (workloads.empty()) return result;
 
@@ -284,11 +272,11 @@ CampaignResult CampaignScheduler::run_reference(
   // SimulationService probes and fills the same shards, so duplicate
   // simulations are amortized across jobs, not just within one pipeline.
   std::shared_ptr<cache::SharedScenarioCache> shared_cache;
-  if (config_.cache_policy == cache::CachePolicy::kShared) {
+  if (config_.spec.cache_policy == cache::CachePolicy::kShared) {
     shared_cache = config_.shared_cache
                        ? config_.shared_cache
                        : std::make_shared<cache::SharedScenarioCache>(
-                             config_.cache_mem_bytes);
+                             config_.exec.cache_mem_bytes);
     result.cache_mem_bytes = shared_cache->max_bytes();
   }
 

@@ -45,32 +45,20 @@ struct CampaignConfig {
   unsigned total_workers = 1;    ///< simulation-worker budget, split per job
   std::uint64_t seed = 2022;     ///< campaign stream; mixed per job
 
-  // Per-job pipeline knobs (ess::RunSpec vocabulary; essim-monitor is not an
-  // Optimizer and is rejected at construction).
-  std::string method = "ess-ns";
-  int generations = 15;
-  double fitness_threshold = 0.95;
-  std::size_t population = 16;
-  std::size_t offspring = 16;
-  int novelty_k = 10;
-  int islands = 3;
-  std::size_t max_solution_maps = 64;
-  /// Scenario memoization policy for every job (results bit-identical under
-  /// every policy). Under kShared the scheduler installs ONE byte-bounded
-  /// cache shared by all concurrent jobs, so duplicate work is amortized
-  /// across the whole campaign, not just within a prediction step.
-  cache::CachePolicy cache_policy = cache::CachePolicy::kStep;
-  /// Byte budget of the campaign-wide cache (kShared only).
-  std::size_t cache_mem_bytes = cache::kDefaultCacheBytes;
+  /// The search spec every job runs under (essim-monitor is not an
+  /// Optimizer and is rejected at construction). Under kShared the
+  /// scheduler installs ONE byte-bounded cache shared by all concurrent
+  /// jobs, so duplicate work is amortized across the whole campaign, not
+  /// just within a prediction step.
+  JobSpec spec;
+  /// Execution knobs for every job. cache_mem_bytes is the campaign-wide
+  /// cache's budget (kShared only); trace_out records spans campaign-wide
+  /// (jobs x pipeline stages x pool/sim workers) and metrics_out installs a
+  /// campaign-wide registry, each written before run() returns.
+  ess::ExecOptions exec;
   /// Pre-warmed cross-campaign cache (kShared only); null makes run()
   /// create a fresh one per campaign.
   std::shared_ptr<cache::SharedScenarioCache> shared_cache;
-  /// Relax-kernel selection for every job's sweeps (bit-identical at any
-  /// setting; kAuto resolves to AVX2 when the host supports it).
-  simd::Mode simd_mode = simd::Mode::kAuto;
-  /// NUMA-aware worker placement for every job's simulation workers
-  /// (kAuto pins only on multi-node hosts).
-  parallel::NumaMode numa_mode = parallel::NumaMode::kAuto;
 
   // Sharded campaigns (src/shard/): a worker process running one round-robin
   // slice of a larger catalog reports each job under its GLOBAL index —
@@ -87,23 +75,16 @@ struct CampaignConfig {
   /// match too).
   unsigned forced_workers_per_job = 0;
 
-  /// Chrome trace-event JSON output path ("" or "none" = tracing off).
-  /// When set, run() records spans campaign-wide — jobs x pipeline stages x
-  /// pool/sim workers — and writes the timeline before returning.
-  std::string trace_out;
-  /// Metrics JSON output path ("" or "none" = metrics off). When set, run()
-  /// installs a campaign-wide registry (sweep/cache/pool counters,
-  /// latency histograms) and writes the scrape before returning.
-  std::string metrics_out;
-
-  /// Retain each job's final probability matrix / predicted fire line
-  /// (map-export consumers; costs two grids per job).
-  bool keep_final_maps = false;
-
   /// Invoked once per finished job (success or failure), serialized by the
   /// scheduler. Completion order is nondeterministic under concurrency.
   std::function<void(const JobRecord&)> on_job_done;
 };
+
+/// Set campaign key `key` — the search and execution keys plus seed, jobs,
+/// workers and cache — from `value`. Returns false for any other key;
+/// throws InvalidArgument naming the key on a bad value.
+bool set_campaign_key(CampaignConfig& config, const std::string& key,
+                      const std::string& value);
 
 struct CampaignResult {
   std::vector<JobRecord> jobs;   ///< in submission order

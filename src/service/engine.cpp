@@ -20,18 +20,6 @@ std::uint64_t campaign_job_seed(std::uint64_t campaign_seed,
 
 namespace {
 
-ess::RunSpec to_run_spec(const JobSpec& spec) {
-  ess::RunSpec run;
-  run.method = spec.method;
-  run.generations = spec.generations;
-  run.fitness_threshold = spec.fitness_threshold;
-  run.population = spec.population;
-  run.offspring = spec.offspring;
-  run.novelty_k = spec.novelty_k;
-  run.islands = spec.islands;
-  return run;
-}
-
 // Max-heap order: higher priority wins; among equals the smaller sequence
 // (earlier submission) wins — "less" is therefore lower priority or, at the
 // same priority, a LATER sequence.
@@ -103,7 +91,7 @@ JobRecord run_prediction_job(
     ess::PredictionPipeline pipeline(workload.environment, truth,
                                      pipeline_config);
 
-    auto optimizer = ess::make_optimizer(to_run_spec(spec));
+    auto optimizer = ess::make_optimizer(spec);
     Rng rng(record.seed ^ 0x5eedULL);
     record.result = pipeline.run(*optimizer, rng);
     record.status = JobStatus::kSucceeded;
@@ -128,11 +116,12 @@ JobRecord run_prediction_job(
 
 PredictionEngine::PredictionEngine(EngineConfig config)
     : config_(validate_config(std::move(config))),
-      obs_(config_.trace_out, config_.metrics_out, config_.collect_metrics),
+      obs_(config_.exec.trace_out, config_.exec.metrics_out,
+           config_.collect_metrics),
       cache_(config_.shared_cache
                  ? config_.shared_cache
                  : std::make_shared<cache::SharedScenarioCache>(
-                       config_.cache_mem_bytes)),
+                       config_.exec.cache_mem_bytes)),
       pool_(config_.job_slots) {
   slots_.reserve(config_.job_slots);
   for (unsigned slot = 0; slot < config_.job_slots; ++slot)
@@ -163,7 +152,7 @@ Submission PredictionEngine::submit(JobRequest request) {
   ESSNS_REQUIRE(request.spec.generations >= 1, "generations >= 1");
   // Fail fast at admission on methods the runner cannot build (e.g.
   // essim-monitor) instead of queueing a guaranteed failure.
-  (void)ess::make_optimizer(to_run_spec(request.spec));
+  (void)ess::make_optimizer(request.spec);
   if (request.workers == 0) request.workers = default_workers_per_job();
 
   Submission submission;
@@ -275,7 +264,8 @@ void PredictionEngine::slot_loop(unsigned slot) {
       record = run_prediction_job(
           *pending.request.workload, pending.request.index,
           pending.request.campaign_seed, pending.request.workers,
-          pending.request.spec, config_.simd_mode, config_.numa_mode,
+          pending.request.spec, config_.exec.simd_mode,
+          config_.exec.numa_mode,
           firelib::SweepBackend::kScalar, cache_);
     }
     finish_job(pending, std::move(record));

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "cache/scenario_cache.hpp"
+#include "ess/config.hpp"
 #include "ess/pipeline.hpp"
 #include "obs/session.hpp"
 #include "parallel/thread_pool.hpp"
@@ -94,18 +95,12 @@ struct JobRecord {
   Grid<std::uint8_t> final_prediction;   ///< set when keep_final_maps
 };
 
-/// Per-job pipeline knobs (ess::RunSpec vocabulary) — everything about HOW
-/// one job searches, as opposed to WHAT fire it predicts (the workload) and
-/// WHERE it runs (the engine). Campaigns stamp one spec on every job; a
-/// server derives one per request from its defaults plus overrides.
-struct JobSpec {
-  std::string method = "ess-ns";
-  int generations = 15;
-  double fitness_threshold = 0.95;
-  std::size_t population = 16;
-  std::size_t offspring = 16;
-  int novelty_k = 10;
-  int islands = 3;
+/// Per-job pipeline knobs — everything about HOW one job searches, as
+/// opposed to WHAT fire it predicts (the workload) and WHERE it runs (the
+/// engine). The search keys come from ess::SearchSpec; campaigns stamp one
+/// spec on every job, a server derives one per request from its defaults
+/// plus overrides.
+struct JobSpec : ess::SearchSpec {
   std::size_t max_solution_maps = 64;
   /// Scenario memoization policy (results bit-identical under every
   /// policy). kShared uses the ENGINE's cache — the whole point of a
@@ -157,20 +152,13 @@ struct EngineConfig {
   /// Pending jobs the queue holds beyond the ones already running; a
   /// submission past this bound is answered kQueueFull, not blocked.
   std::size_t queue_capacity = 64;
-  /// Byte budget of the engine's shared cache (ignored when `shared_cache`
-  /// is provided).
-  std::size_t cache_mem_bytes = cache::kDefaultCacheBytes;
+  /// Execution knobs of every job. cache_mem_bytes sizes the engine's
+  /// shared cache (ignored when `shared_cache` is provided); trace_out and
+  /// metrics_out are written when the engine is destroyed.
+  ess::ExecOptions exec;
   /// Pre-warmed cache to adopt (e.g. restored via cache::load_cache); null
   /// makes the engine create a fresh one.
   std::shared_ptr<cache::SharedScenarioCache> shared_cache;
-  simd::Mode simd_mode = simd::Mode::kAuto;
-  parallel::NumaMode numa_mode = parallel::NumaMode::kAuto;
-  /// Chrome trace-event JSON output path ("" or "none" = tracing off);
-  /// written when the engine is destroyed.
-  std::string trace_out;
-  /// Metrics JSON output path ("" or "none" = no file). Written on
-  /// destruction.
-  std::string metrics_out;
   /// Install a MetricsRegistry even without a metrics_out path — servers
   /// scrape it live over the wire instead of reading a file.
   bool collect_metrics = false;

@@ -134,7 +134,7 @@ ShardedCampaignResult run_sharded_campaign(
 
   const std::string exe = resolve_exe(options.exe_path);
   const bool collect_metrics =
-      options.collect_metrics || !config.metrics_out.empty();
+      options.collect_metrics || !config.exec.metrics_out.empty();
 
   SigpipeGuard sigpipe_guard;
 
@@ -151,24 +151,15 @@ ShardedCampaignResult run_sharded_campaign(
     wc.shard_index = k;
     wc.shard_count = shard_count;
     wc.catalog_text = options.catalog_text;
-    wc.method = config.method;
     wc.seed = config.seed;
-    wc.generations = config.generations;
-    wc.fitness_threshold = config.fitness_threshold;
-    wc.population = config.population;
-    wc.offspring = config.offspring;
-    wc.novelty_k = config.novelty_k;
-    wc.islands = config.islands;
-    wc.max_solution_maps = config.max_solution_maps;
-    wc.cache_policy = config.cache_policy;
-    wc.cache_mem_bytes = config.cache_mem_bytes;
-    wc.simd_mode = config.simd_mode;
-    wc.numa_mode = config.numa_mode;
     wc.job_concurrency = per_worker_jobs;
     wc.workers_per_job = workers_per_job;
-    wc.keep_final_maps = config.keep_final_maps;
     wc.collect_metrics = collect_metrics;
-    wc.trace_out = config.trace_out;
+    wc.spec = config.spec;
+    wc.exec = config.exec;
+    wc.exec.metrics_out.clear();
+    if (!wc.exec.trace_out.empty())
+      wc.exec.trace_out += ".shard" + std::to_string(k);
     wc.debug_crash_after_jobs =
         static_cast<int>(k) == options.debug_crash_shard
             ? options.debug_crash_after_jobs
@@ -232,9 +223,9 @@ ShardedCampaignResult run_sharded_campaign(
   result.jobs.resize(total);
   result.job_concurrency = config.job_concurrency;
   result.workers_per_job = workers_per_job;
-  result.cache_policy = config.cache_policy;
-  if (config.cache_policy == cache::CachePolicy::kShared)
-    result.cache_mem_bytes = config.cache_mem_bytes;
+  result.cache_policy = config.spec.cache_policy;
+  if (config.spec.cache_policy == cache::CachePolicy::kShared)
+    result.cache_mem_bytes = config.exec.cache_mem_bytes;
 
   std::vector<bool> received(total, false);
   std::vector<std::size_t> received_per_shard(shard_count, 0);
@@ -388,8 +379,8 @@ ShardedCampaignResult run_sharded_campaign(
     }
   }
 
-  if (!config.metrics_out.empty())
-    sharded.metrics.write_json(config.metrics_out);
+  if (!config.exec.metrics_out.empty())
+    sharded.metrics.write_json(config.exec.metrics_out);
   return sharded;
 }
 
@@ -421,26 +412,12 @@ int shard_worker_main() {
     config.total_workers = std::max(1u, wc.workers_per_job);
     config.forced_workers_per_job = wc.workers_per_job;
     config.seed = wc.seed;
-    config.method = wc.method;
-    config.generations = wc.generations;
-    config.fitness_threshold = wc.fitness_threshold;
-    config.population = static_cast<std::size_t>(wc.population);
-    config.offspring = static_cast<std::size_t>(wc.offspring);
-    config.novelty_k = wc.novelty_k;
-    config.islands = wc.islands;
-    config.max_solution_maps = static_cast<std::size_t>(wc.max_solution_maps);
-    config.cache_policy = wc.cache_policy;
-    config.cache_mem_bytes = static_cast<std::size_t>(wc.cache_mem_bytes);
-    config.simd_mode = wc.simd_mode;
-    config.numa_mode = wc.numa_mode;
-    config.keep_final_maps = wc.keep_final_maps;
+    config.spec = wc.spec;
+    config.exec = wc.exec;
     // Global index of slice job i is shard_index + i * shard_count: the
     // round-robin inverse, from which each job derives its campaign seed.
     config.job_index_offset = wc.shard_index;
     config.job_index_stride = wc.shard_count;
-    if (!wc.trace_out.empty())
-      config.trace_out =
-          wc.trace_out + ".shard" + std::to_string(wc.shard_index);
 
     // Stream each finished job the moment the scheduler reports it (the
     // scheduler serializes on_job_done, so frame writes never interleave).

@@ -1,9 +1,11 @@
 #include "shard/wire.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/limits.hpp"
 
@@ -132,6 +134,76 @@ void require_done(const BinaryReader& in, const char* what) {
     throw WireError(std::string("trailing bytes after ") + what + " payload");
 }
 
+// The frame crosses a process boundary, so its knobs get the bounds their
+// keys have at every other surface (common/limits.hpp): a corrupted frame
+// must not ask a worker for billions of job slots, threads or generations.
+template <typename T>
+void require_in(T value, limits::Range range, const char* what) {
+  if (!std::in_range<int>(value) || !range.contains(static_cast<int>(value)))
+    throw WireError(std::string("worker config ") + what + " out of range");
+}
+
+void encode_job_spec(BinaryWriter& out, const service::JobSpec& spec) {
+  out.str(spec.method);
+  out.i32(spec.generations);
+  out.f64(spec.fitness_threshold);
+  out.u64(spec.population);
+  out.u64(spec.offspring);
+  out.i32(spec.novelty_k);
+  out.i32(spec.islands);
+  out.u64(spec.max_solution_maps);
+  out.u8(static_cast<std::uint8_t>(spec.cache_policy));
+  out.u8(spec.keep_final_maps ? 1 : 0);
+}
+
+service::JobSpec decode_job_spec(BinaryReader& in) {
+  service::JobSpec spec;
+  spec.method = in.str();
+  spec.generations = in.i32();
+  spec.fitness_threshold = in.f64();
+  spec.population = static_cast<std::size_t>(in.u64());
+  spec.offspring = static_cast<std::size_t>(in.u64());
+  spec.novelty_k = in.i32();
+  spec.islands = in.i32();
+  spec.max_solution_maps = static_cast<std::size_t>(in.u64());
+  spec.cache_policy =
+      static_cast<cache::CachePolicy>(checked_enum(in, 2, "cache policy"));
+  spec.keep_final_maps = checked_enum(in, 1, "keep_final_maps") != 0;
+  const auto& methods = ess::RunSpec::known_methods();
+  if (std::find(methods.begin(), methods.end(), spec.method) == methods.end())
+    throw WireError("worker config method unknown");
+  require_in(spec.generations, limits::range::generations, "generations");
+  if (!std::isfinite(spec.fitness_threshold))
+    throw WireError("worker config fitness_threshold not finite");
+  require_in(spec.population, limits::range::population, "population");
+  require_in(spec.offspring, limits::range::offspring, "offspring");
+  require_in(spec.novelty_k, limits::range::novelty_k, "novelty_k");
+  require_in(spec.islands, limits::range::islands, "islands");
+  return spec;
+}
+
+void encode_exec_options(BinaryWriter& out, const ess::ExecOptions& exec) {
+  out.u64(exec.cache_mem_bytes);
+  out.u8(static_cast<std::uint8_t>(exec.simd_mode));
+  out.u8(static_cast<std::uint8_t>(exec.numa_mode));
+  out.str(exec.trace_out);
+  out.str(exec.metrics_out);
+}
+
+ess::ExecOptions decode_exec_options(BinaryReader& in) {
+  ess::ExecOptions exec;
+  exec.cache_mem_bytes = static_cast<std::size_t>(in.u64());
+  exec.simd_mode = static_cast<simd::Mode>(checked_enum(in, 2, "simd mode"));
+  exec.numa_mode =
+      static_cast<parallel::NumaMode>(checked_enum(in, 2, "numa mode"));
+  exec.trace_out = in.str();
+  exec.metrics_out = in.str();
+  // The cache_mem key's bound, in whole MiB.
+  require_in(exec.cache_mem_bytes >> 20, limits::range::cache_mem_mib,
+             "cache_mem_bytes");
+  return exec;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_worker_config(const WorkerConfig& config) {
@@ -140,24 +212,12 @@ std::vector<std::uint8_t> encode_worker_config(const WorkerConfig& config) {
   out.u32(config.shard_index);
   out.u32(config.shard_count);
   out.str(config.catalog_text);
-  out.str(config.method);
   out.u64(config.seed);
-  out.i32(config.generations);
-  out.f64(config.fitness_threshold);
-  out.u64(config.population);
-  out.u64(config.offspring);
-  out.i32(config.novelty_k);
-  out.i32(config.islands);
-  out.u64(config.max_solution_maps);
-  out.u8(static_cast<std::uint8_t>(config.cache_policy));
-  out.u64(config.cache_mem_bytes);
-  out.u8(static_cast<std::uint8_t>(config.simd_mode));
-  out.u8(static_cast<std::uint8_t>(config.numa_mode));
   out.u32(config.job_concurrency);
   out.u32(config.workers_per_job);
-  out.u8(config.keep_final_maps ? 1 : 0);
   out.u8(config.collect_metrics ? 1 : 0);
-  out.str(config.trace_out);
+  encode_job_spec(out, config.spec);
+  encode_exec_options(out, config.exec);
   out.i32(config.debug_crash_after_jobs);
   return bytes;
 }
@@ -167,50 +227,19 @@ WorkerConfig decode_worker_config(BinaryReader& in) {
   config.shard_index = in.u32();
   config.shard_count = in.u32();
   config.catalog_text = in.str();
-  config.method = in.str();
   config.seed = in.u64();
-  config.generations = in.i32();
-  config.fitness_threshold = in.f64();
-  config.population = in.u64();
-  config.offspring = in.u64();
-  config.novelty_k = in.i32();
-  config.islands = in.i32();
-  config.max_solution_maps = in.u64();
-  config.cache_policy =
-      static_cast<cache::CachePolicy>(checked_enum(in, 2, "cache policy"));
-  config.cache_mem_bytes = in.u64();
-  config.simd_mode = static_cast<simd::Mode>(checked_enum(in, 2, "simd mode"));
-  config.numa_mode =
-      static_cast<parallel::NumaMode>(checked_enum(in, 2, "numa mode"));
   config.job_concurrency = in.u32();
   config.workers_per_job = in.u32();
-  config.keep_final_maps = checked_enum(in, 1, "keep_final_maps") != 0;
   config.collect_metrics = checked_enum(in, 1, "collect_metrics") != 0;
-  config.trace_out = in.str();
+  config.spec = decode_job_spec(in);
+  config.exec = decode_exec_options(in);
   config.debug_crash_after_jobs = in.i32();
   if (config.shard_count == 0 || config.shard_index >= config.shard_count)
     throw WireError("shard index out of range");
-  // The frame crosses a process boundary, so its counts get the caps every
-  // other input surface shares (common/limits.hpp): a corrupted frame must
-  // not ask a worker for billions of job slots, threads or generations.
-  const auto require_in = [](std::int64_t value, std::int64_t lo,
-                             std::int64_t hi, const char* what) {
-    if (value < lo || value > hi)
-      throw WireError(std::string("worker config ") + what + " out of range");
-  };
-  require_in(config.shard_count, 1, limits::kMaxShards, "shard count");
-  require_in(config.job_concurrency, 1, limits::kMaxJobs, "job concurrency");
-  require_in(config.workers_per_job, 1, limits::kMaxWorkers,
+  require_in(config.shard_count, limits::range::shards, "shard count");
+  require_in(config.job_concurrency, limits::range::jobs, "job concurrency");
+  require_in(config.workers_per_job, limits::range::workers,
              "workers per job");
-  require_in(config.generations, 1, limits::kMaxGenerations, "generations");
-  require_in(static_cast<std::int64_t>(std::min<std::uint64_t>(
-                 config.population, limits::kMaxPopulation + 1)),
-             1, limits::kMaxPopulation, "population");
-  require_in(static_cast<std::int64_t>(std::min<std::uint64_t>(
-                 config.offspring, limits::kMaxPopulation + 1)),
-             1, limits::kMaxPopulation, "offspring");
-  require_in(config.novelty_k, 0, limits::kMaxNoveltyK, "novelty_k");
-  require_in(config.islands, 1, limits::kMaxIslands, "islands");
   require_done(in, "worker config");
   return config;
 }

@@ -42,7 +42,7 @@
 namespace essns::shard {
 
 inline constexpr std::uint32_t kWireMagic = 0x45535357u;   // "WSSE" in LE bytes
-inline constexpr std::uint32_t kWireVersion = 3;
+inline constexpr std::uint32_t kWireVersion = 4;
 /// Upper bound on one frame's payload. Generous (a 4k x 4k double grid is
 /// 128 MiB) but small enough that a corrupted length prefix is rejected
 /// immediately.
@@ -57,32 +57,22 @@ enum class FrameType : std::uint32_t {
 
 /// Everything a --shard-worker process needs to run its slice: the catalog
 /// spec text (workers re-expand it deterministically and take indices
-/// shard_index, shard_index + shard_count, ...), the campaign knobs, and
-/// the globally-computed workers_per_job so every job reports the same
-/// worker count the single-process split would have.
+/// shard_index, shard_index + shard_count, ...), the campaign's JobSpec and
+/// ExecOptions whole, and the globally-computed workers_per_job so every
+/// job reports the same worker count the single-process split would have.
 struct WorkerConfig {
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
   std::string catalog_text;
-
-  std::string method = "ess-ns";
   std::uint64_t seed = 2022;
-  std::int32_t generations = 15;
-  double fitness_threshold = 0.95;
-  std::uint64_t population = 16;
-  std::uint64_t offspring = 16;
-  std::int32_t novelty_k = 10;
-  std::int32_t islands = 3;
-  std::uint64_t max_solution_maps = 64;
-  cache::CachePolicy cache_policy = cache::CachePolicy::kStep;
-  std::uint64_t cache_mem_bytes = 0;
-  simd::Mode simd_mode = simd::Mode::kAuto;
-  parallel::NumaMode numa_mode = parallel::NumaMode::kAuto;
   std::uint32_t job_concurrency = 1;   ///< this worker's slice concurrency
   std::uint32_t workers_per_job = 1;   ///< forced, campaign-global value
-  bool keep_final_maps = false;        ///< stream final grids in job frames
   bool collect_metrics = false;        ///< snapshot the worker's registry
-  std::string trace_out;  ///< "" = off; worker writes <path>.shard<k>
+  /// keep_final_maps streams final grids in job frames.
+  service::JobSpec spec;
+  /// This worker's own: trace_out is the campaign's <path>.shard<k> ("" =
+  /// off), metrics_out is "" (the parent writes the merged rollup).
+  ess::ExecOptions exec;
 
   /// Test hook for the killed-shard arms: when >= 0, the worker calls
   /// _exit(kCrashExitCode) after streaming this many job frames.

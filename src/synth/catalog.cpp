@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/limits.hpp"
-#include "common/parse.hpp"
 #include "synth/weather.hpp"
 
 namespace essns::synth {
@@ -30,22 +29,21 @@ std::vector<std::string> split_list(const std::string& value) {
   return out;
 }
 
-TerrainFamily parse_terrain(const std::string& name) {
-  const auto family = parse_terrain_family(name);
-  if (!family) throw InvalidArgument("unknown terrain family: " + name);
-  return *family;
+// The enum values of the fire and catalog keys, shared by both parsers.
+TerrainFamily terrain_value(const std::string& key, const std::string& name) {
+  return limits::enum_value(key, name, parse_terrain_family(name),
+                            "plains|hills|rugged");
 }
 
-WeatherRegime parse_weather(const std::string& name) {
-  const auto regime = parse_weather_regime(name);
-  if (!regime) throw InvalidArgument("unknown weather regime: " + name);
-  return *regime;
+WeatherRegime weather_value(const std::string& key, const std::string& name) {
+  return limits::enum_value(key, name, parse_weather_regime(name),
+                            "steady|wind_shift|diurnal");
 }
 
-IgnitionPattern parse_ignition(const std::string& name) {
-  const auto pattern = parse_ignition_pattern(name);
-  if (!pattern) throw InvalidArgument("unknown ignition pattern: " + name);
-  return *pattern;
+IgnitionPattern ignition_value(const std::string& key,
+                               const std::string& name) {
+  return limits::enum_value(key, name, parse_ignition_pattern(name),
+                            "center|offset|edge|corner");
 }
 
 void validate(const CatalogSpec& spec) {
@@ -58,16 +56,15 @@ void validate(const CatalogSpec& spec) {
                     spec.seeds_per_case <= limits::kMaxSeedsPerCase,
                 "seeds_per_case in [1, " +
                     std::to_string(limits::kMaxSeedsPerCase) + "]");
-  ESSNS_REQUIRE(spec.steps >= 2,
-                "catalog steps >= 2 (pipeline needs calibration + prediction)");
-  ESSNS_REQUIRE(spec.steps <= limits::kMaxSteps,
-                "catalog steps <= " + std::to_string(limits::kMaxSteps));
+  ESSNS_REQUIRE(limits::range::steps.contains(spec.steps),
+                "catalog steps in [2, " + std::to_string(limits::kMaxSteps) +
+                    "] (pipeline needs calibration + prediction)");
   ESSNS_REQUIRE(spec.step_minutes > 0.0, "step_minutes must be positive");
   ESSNS_REQUIRE(
       spec.observation_noise >= 0.0 && spec.observation_noise < 1.0,
       "observation noise in [0,1)");
   for (int size : spec.sizes)
-    ESSNS_REQUIRE(size >= 16 && size <= limits::kMaxGridSize,
+    ESSNS_REQUIRE(limits::range::size.contains(size),
                   "catalog map sizes must be in [16, " +
                       std::to_string(limits::kMaxGridSize) + "] cells");
 }
@@ -148,6 +145,30 @@ CellIndex ignition_cell(IgnitionPattern pattern, int size) {
     case IgnitionPattern::kCorner: return {3, 3};
   }
   throw InvalidArgument("unknown ignition pattern enumerator");
+}
+
+bool set_fire_key(WorkloadRequest& request, const std::string& key,
+                  const std::string& value) {
+  if (key == "terrain") {
+    request.terrain = terrain_value(key, value);
+  } else if (key == "size") {
+    request.size = limits::int_value(key, value, limits::range::size);
+  } else if (key == "weather") {
+    request.weather = weather_value(key, value);
+  } else if (key == "ignition") {
+    request.ignition = ignition_value(key, value);
+  } else if (key == "seed") {
+    request.seed = limits::u64_value(key, value);
+  } else if (key == "steps") {
+    request.steps = limits::int_value(key, value, limits::range::steps);
+  } else if (key == "step_minutes") {
+    request.step_minutes = limits::double_value(key, value);
+  } else if (key == "noise") {
+    request.observation_noise = limits::double_value(key, value);
+  } else {
+    return false;
+  }
+  return true;
 }
 
 Workload make_workload(const WorkloadRequest& request) {
@@ -260,57 +281,37 @@ CatalogSpec parse_catalog_spec(std::istream& in) {
     const std::string value = trim(stripped.substr(eq + 1));
     ESSNS_REQUIRE(!value.empty(), "catalog key '" + key + "' has empty value");
 
-    auto int_or_throw = [&](const std::string& text, int lo, int hi) {
-      const auto v = limits::parse_int_in(text, lo, hi);
-      ESSNS_REQUIRE(v.has_value(), "bad integer for catalog key '" + key +
-                                       "': " + text + " (integer in [" +
-                                       std::to_string(lo) + ", " +
-                                       std::to_string(hi) + "])");
-      return *v;
-    };
-    auto as_int = [&](int lo, int hi) { return int_or_throw(value, lo, hi); };
-    auto as_uint64 = [&] {
-      const auto v = essns::parse_uint64(value);
-      ESSNS_REQUIRE(v.has_value(), "bad unsigned integer for catalog key '" +
-                                       key + "': " + value);
-      return *v;
-    };
-    auto as_double = [&] {
-      const auto v = essns::parse_double(value);
-      ESSNS_REQUIRE(v.has_value(),
-                    "bad number for catalog key '" + key + "': " + value);
-      return *v;
-    };
-
     if (key == "terrains") {
       spec.terrains.clear();
       for (const auto& name : split_list(value))
-        spec.terrains.push_back(parse_terrain(name));
+        spec.terrains.push_back(terrain_value(key, name));
     } else if (key == "sizes") {
       spec.sizes.clear();
       for (const auto& name : split_list(value))
-        spec.sizes.push_back(int_or_throw(name, 16, limits::kMaxGridSize));
+        spec.sizes.push_back(
+            limits::int_value(key, name, limits::range::size));
     } else if (key == "weather") {
       spec.weather.clear();
       for (const auto& name : split_list(value))
-        spec.weather.push_back(parse_weather(name));
+        spec.weather.push_back(weather_value(key, name));
     } else if (key == "ignitions") {
       spec.ignitions.clear();
       for (const auto& name : split_list(value))
-        spec.ignitions.push_back(parse_ignition(name));
+        spec.ignitions.push_back(ignition_value(key, name));
     } else if (key == "seeds") {
-      spec.seeds_per_case = as_int(1, limits::kMaxSeedsPerCase);
+      spec.seeds_per_case =
+          limits::int_value(key, value, {1, limits::kMaxSeedsPerCase});
     } else if (key == "base_seed") {
-      spec.base_seed = as_uint64();
+      spec.base_seed = limits::u64_value(key, value);
     } else if (key == "steps") {
-      spec.steps = as_int(2, limits::kMaxSteps);
+      spec.steps = limits::int_value(key, value, limits::range::steps);
     } else if (key == "step_minutes") {
-      spec.step_minutes = as_double();
+      spec.step_minutes = limits::double_value(key, value);
     } else if (key == "noise") {
-      spec.observation_noise = as_double();
+      spec.observation_noise = limits::double_value(key, value);
     } else if (key == "limit") {
       spec.max_workloads = static_cast<std::size_t>(
-          as_int(0, std::numeric_limits<int>::max()));
+          limits::int_value(key, value, {0, std::numeric_limits<int>::max()}));
     } else {
       throw InvalidArgument("unknown catalog key: " + key);
     }

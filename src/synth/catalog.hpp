@@ -56,6 +56,13 @@ struct WorkloadRequest {
   double observation_noise = 0.02;
 };
 
+/// The one parser of the fire keys: terrain size weather ignition seed
+/// steps step_minutes noise, with size in [16, 1024] and steps in [2, 64].
+/// Returns false when `key` is not a fire key; throws InvalidArgument naming
+/// the key on a bad value.
+bool set_fire_key(WorkloadRequest& request, const std::string& key,
+                  const std::string& value);
+
 /// Build the workload for one cell. Deterministic in `request`; the name is
 /// "<terrain><size>-<weather>-<ignition>" (generate_catalog appends its
 /// replicate suffix). Throws InvalidArgument on out-of-range fields.

@@ -77,6 +77,12 @@ RunResult run_cli(const std::vector<std::string>& args) {
   return result;
 }
 
+/// run_cli for a command that must exit on its own: SIGKILL and exit code
+/// -2 after `timeout_seconds`, so a server that starts fails the test
+/// instead of hanging it. Its output must fit the pipe buffers.
+RunResult run_cli_within(const std::vector<std::string>& args,
+                         double timeout_seconds);
+
 /// Start the CLI detached (output to /dev/null); caller signals and reaps.
 pid_t spawn_cli(const std::vector<std::string>& args) {
   const pid_t pid = ::fork();
@@ -103,6 +109,32 @@ int wait_exit(pid_t pid, double timeout_seconds) {
   int status = 0;
   ::waitpid(pid, &status, 0);
   return -2;  // timed out
+}
+
+RunResult run_cli_within(const std::vector<std::string>& args,
+                         double timeout_seconds) {
+  int out_pipe[2];
+  int err_pipe[2];
+  if (::pipe(out_pipe) != 0 || ::pipe(err_pipe) != 0) ADD_FAILURE();
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::dup2(out_pipe[1], STDOUT_FILENO);
+    ::dup2(err_pipe[1], STDERR_FILENO);
+    ::close(out_pipe[0]);
+    ::close(out_pipe[1]);
+    ::close(err_pipe[0]);
+    ::close(err_pipe[1]);
+    exec_cli(args);
+  }
+  ::close(out_pipe[1]);
+  ::close(err_pipe[1]);
+  RunResult result;
+  result.exit_code = wait_exit(pid, timeout_seconds);
+  result.out = drain_fd(out_pipe[0]);
+  result.err = drain_fd(err_pipe[0]);
+  ::close(out_pipe[0]);
+  ::close(err_pipe[0]);
+  return result;
 }
 
 /// Poll the --port-file until the server publishes its ephemeral port.
@@ -171,6 +203,34 @@ TEST(CliFlags, HelpCoversEveryMode) {
   EXPECT_NE(help.out.find("campaign"), std::string::npos);
   EXPECT_NE(help.out.find("serve"), std::string::npos);
   EXPECT_NE(help.out.find("--cache-load"), std::string::npos);
+}
+
+TEST(CliFlags, OutOfBoundKeysExitAtStartUpBeforeAnyJob) {
+  // Each value is one past the bound its key has at every front door;
+  // serve must not start and campaign must not run a job.
+  const std::vector<std::vector<std::string>> commands = {
+      {"serve", "size=1"}, {"serve", "steps=1"}, {"campaign", "population=1"}};
+  for (const auto& args : commands) {
+    const RunResult result = run_cli_within(args, 30.0);
+    const std::string key = args[1].substr(0, args[1].find('='));
+    EXPECT_EQ(result.exit_code, 1) << args[0] << " " << args[1];
+    EXPECT_NE(result.err.find("'" + key + "'"), std::string::npos)
+        << result.err;
+    EXPECT_EQ(result.out.find("serving on port"), std::string::npos)
+        << result.out;
+    EXPECT_EQ(result.out.find("job "), std::string::npos) << result.out;
+    EXPECT_EQ(result.out.find("campaign:"), std::string::npos) << result.out;
+  }
+}
+
+TEST(CliFlags, FlagsAreSpellingsOfTheirKeys) {
+  // --cache-mem 0 and cache_mem=0 fail alike, naming the key.
+  const RunResult flag = run_cli_within({"campaign", "--cache-mem", "0"}, 30.0);
+  const RunResult key = run_cli_within({"campaign", "cache_mem=0"}, 30.0);
+  EXPECT_EQ(flag.exit_code, 1);
+  EXPECT_EQ(key.exit_code, 1);
+  EXPECT_EQ(flag.err, key.err);
+  EXPECT_NE(flag.err.find("'cache_mem'"), std::string::npos) << flag.err;
 }
 
 TEST(CliFlags, CachePersistenceRequiresSharedPolicy) {

@@ -96,8 +96,10 @@ TEST(RunSpecTest, IntegerKeysHaveUpperBounds) {
 }
 
 TEST(RunSpecTest, CacheMemKeyParsesMebibytes) {
-  EXPECT_EQ(parse_run_spec("").cache_mem_mb, 256u);  // default
-  EXPECT_EQ(parse_run_spec("cache_mem=32\n").cache_mem_mb, 32u);
+  EXPECT_EQ(parse_run_spec("").exec.cache_mem_bytes,
+            std::size_t{256} << 20);  // default
+  EXPECT_EQ(parse_run_spec("cache_mem=32\n").exec.cache_mem_bytes,
+            std::size_t{32} << 20);
   EXPECT_THROW(parse_run_spec("cache_mem=0\n"), InvalidArgument);
   EXPECT_THROW(parse_run_spec("cache_mem=lots\n"), InvalidArgument);
 }

@@ -136,13 +136,14 @@ TEST_F(ServiceSimdNumaTest, SetNumaModeReArmsPlacement) {
 }
 
 TEST_F(ServiceSimdNumaTest, RunSpecParsesSimdAndNumaKeys) {
-  EXPECT_EQ(parse_run_spec("").simd_mode, simd::Mode::kAuto);
-  EXPECT_EQ(parse_run_spec("").numa_mode, parallel::NumaMode::kAuto);
+  EXPECT_EQ(parse_run_spec("").exec.simd_mode, simd::Mode::kAuto);
+  EXPECT_EQ(parse_run_spec("").exec.numa_mode, parallel::NumaMode::kAuto);
   const RunSpec spec = parse_run_spec("simd=scalar\nnuma=on\n");
-  EXPECT_EQ(spec.simd_mode, simd::Mode::kScalar);
-  EXPECT_EQ(spec.numa_mode, parallel::NumaMode::kOn);
-  EXPECT_EQ(parse_run_spec("simd=avx2\n").simd_mode, simd::Mode::kAvx2);
-  EXPECT_EQ(parse_run_spec("numa=off\n").numa_mode, parallel::NumaMode::kOff);
+  EXPECT_EQ(spec.exec.simd_mode, simd::Mode::kScalar);
+  EXPECT_EQ(spec.exec.numa_mode, parallel::NumaMode::kOn);
+  EXPECT_EQ(parse_run_spec("simd=avx2\n").exec.simd_mode, simd::Mode::kAvx2);
+  EXPECT_EQ(parse_run_spec("numa=off\n").exec.numa_mode,
+            parallel::NumaMode::kOff);
   EXPECT_THROW(parse_run_spec("simd=sse\n"), InvalidArgument);
   EXPECT_THROW(parse_run_spec("numa=maybe\n"), InvalidArgument);
 }

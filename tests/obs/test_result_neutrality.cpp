@@ -28,14 +28,14 @@ std::vector<synth::Workload> tiny_workloads() {
 service::CampaignConfig tiny_config(unsigned workers,
                                     unsigned job_concurrency) {
   service::CampaignConfig config;
-  config.generations = 2;
-  config.population = 6;
-  config.offspring = 6;
-  config.fitness_threshold = 1.1;  // never early-stops: fixed work per run
+  config.spec.generations = 2;
+  config.spec.population = 6;
+  config.spec.offspring = 6;
+  config.spec.fitness_threshold = 1.1;  // never early-stops: fixed work per run
   config.seed = 77;
   config.total_workers = workers;
   config.job_concurrency = job_concurrency;
-  config.keep_final_maps = true;
+  config.spec.keep_final_maps = true;
   return config;
 }
 
@@ -98,8 +98,8 @@ TEST(ResultNeutrality, ObservabilityOnMatchesOffBitForBit) {
         ::testing::TempDir() + "neutrality_metrics.json";
     service::CampaignConfig observed_config =
         tiny_config(c.workers, c.job_concurrency);
-    observed_config.trace_out = trace_path;
-    observed_config.metrics_out = metrics_path;
+    observed_config.exec.trace_out = trace_path;
+    observed_config.exec.metrics_out = metrics_path;
     const service::CampaignResult observed =
         service::CampaignScheduler(observed_config).run(workloads);
     ASSERT_EQ(observed.succeeded(), workloads.size());
@@ -123,7 +123,7 @@ TEST(ResultNeutrality, MetricsOnlyModeIsAlsoNeutral) {
   const std::string metrics_path =
       ::testing::TempDir() + "neutrality_metrics_only.json";
   service::CampaignConfig observed_config = tiny_config(2, 2);
-  observed_config.metrics_out = metrics_path;
+  observed_config.exec.metrics_out = metrics_path;
   const service::CampaignResult observed =
       service::CampaignScheduler(observed_config).run(workloads);
   ASSERT_EQ(observed.succeeded(), workloads.size());
@@ -152,8 +152,8 @@ TEST(ResultNeutrality, SweepWorkCountersAgreeAcrossSimdAndWorkers) {
         SCOPED_TRACE(std::string("simd=") + simd::to_string(mode) +
                      " workers=" + std::to_string(workers));
         service::CampaignConfig config = tiny_config(workers, 1);
-        config.cache_policy = cache::CachePolicy::kOff;
-        config.simd_mode = mode;
+        config.spec.cache_policy = cache::CachePolicy::kOff;
+        config.exec.simd_mode = mode;
         MetricsRegistry* const previous = metrics_registry();
         MetricsRegistry registry;
         install_metrics_registry(&registry);

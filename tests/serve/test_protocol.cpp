@@ -22,41 +22,48 @@ TEST(ServeProtocol, ParsesPredictOverrides) {
   const Request request = parse_request(
       "predict id=alpha terrain=hills size=24 weather=diurnal "
       "ignition=corner seed=99 steps=5 step_minutes=30.5 noise=0.1 "
-      "method=ess-ns generations=7 fitness_threshold=0.9 population=12 "
+      "method=ess-ga generations=7 fitness_threshold=0.9 population=12 "
       "offspring=10 novelty_k=4 islands=2 priority=3");
   EXPECT_EQ(request.id, "alpha");
-  ASSERT_TRUE(request.terrain);
-  EXPECT_EQ(*request.terrain, synth::TerrainFamily::kHills);
-  ASSERT_TRUE(request.size);
-  EXPECT_EQ(*request.size, 24);
-  ASSERT_TRUE(request.weather);
-  EXPECT_EQ(*request.weather, synth::WeatherRegime::kDiurnal);
-  ASSERT_TRUE(request.ignition);
-  EXPECT_EQ(*request.ignition, synth::IgnitionPattern::kCorner);
-  ASSERT_TRUE(request.seed);
-  EXPECT_EQ(*request.seed, 99u);
-  ASSERT_TRUE(request.steps);
-  EXPECT_EQ(*request.steps, 5);
-  ASSERT_TRUE(request.step_minutes);
-  EXPECT_DOUBLE_EQ(*request.step_minutes, 30.5);
-  ASSERT_TRUE(request.noise);
-  EXPECT_DOUBLE_EQ(*request.noise, 0.1);
-  ASSERT_TRUE(request.method);
-  EXPECT_EQ(*request.method, "ess-ns");
-  ASSERT_TRUE(request.generations);
-  EXPECT_EQ(*request.generations, 7);
-  ASSERT_TRUE(request.priority);
-  EXPECT_EQ(*request.priority, 3);
+  EXPECT_EQ(request.fire.terrain, synth::TerrainFamily::kHills);
+  EXPECT_EQ(request.fire.size, 24);
+  EXPECT_EQ(request.fire.weather, synth::WeatherRegime::kDiurnal);
+  EXPECT_EQ(request.fire.ignition, synth::IgnitionPattern::kCorner);
+  EXPECT_EQ(request.fire.seed, 99u);
+  EXPECT_EQ(request.fire.steps, 5);
+  EXPECT_DOUBLE_EQ(request.fire.step_minutes, 30.5);
+  EXPECT_DOUBLE_EQ(request.fire.observation_noise, 0.1);
+  EXPECT_EQ(request.spec.method, "ess-ga");
+  EXPECT_EQ(request.spec.generations, 7);
+  EXPECT_DOUBLE_EQ(request.spec.fitness_threshold, 0.9);
+  EXPECT_EQ(request.spec.population, 12u);
+  EXPECT_EQ(request.spec.offspring, 10u);
+  EXPECT_EQ(request.spec.novelty_k, 4);
+  EXPECT_EQ(request.spec.islands, 2);
+  EXPECT_FALSE(request.steps);  // a predict's horizon is its fire's
+  EXPECT_EQ(request.priority, 3);
 }
 
 TEST(ServeProtocol, AbsentKeysStayUnset) {
-  const Request request = parse_request("predict id=f1");
-  EXPECT_FALSE(request.terrain);
-  EXPECT_FALSE(request.size);
-  EXPECT_FALSE(request.seed);
-  EXPECT_FALSE(request.steps);
-  EXPECT_FALSE(request.method);
-  EXPECT_FALSE(request.priority);
+  // Keys a predict leaves out keep the server's defaults.
+  synth::WorkloadRequest fire;
+  fire.terrain = synth::TerrainFamily::kRugged;
+  fire.size = 40;
+  fire.seed = 5;
+  service::JobSpec spec;
+  spec.method = "ns-de";
+  spec.population = 30;
+  const Request request = parse_request("predict id=f1 size=24", fire, spec);
+  EXPECT_EQ(request.fire.terrain, synth::TerrainFamily::kRugged);
+  EXPECT_EQ(request.fire.size, 24);
+  EXPECT_EQ(request.fire.seed, 5u);
+  EXPECT_EQ(request.fire.steps, fire.steps);
+  EXPECT_EQ(request.spec.method, "ns-de");
+  EXPECT_EQ(request.spec.population, 30u);
+  EXPECT_EQ(request.priority, 0);
+  const Request repredict = parse_request("repredict id=f1");
+  EXPECT_FALSE(repredict.steps);
+  EXPECT_EQ(parse_request("repredict id=f1 steps=9").steps, 9);
 }
 
 TEST(ServeProtocol, RejectsMalformedRequests) {
@@ -71,6 +78,7 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
                InvalidArgument);  // fire params are predict-only
   EXPECT_THROW(parse_request("predict id=f1 size=8"), InvalidArgument);
   EXPECT_THROW(parse_request("predict id=f1 steps=1"), InvalidArgument);
+  EXPECT_THROW(parse_request("predict id=f1 method=nope"), InvalidArgument);
   // Upper bounds: no single request may ask for unbounded memory or work.
   // Each bound itself is accepted; one past it names the key and value.
   const std::pair<const char*, int> bounds[] = {

@@ -37,9 +37,9 @@ std::vector<synth::Workload> tiny_workloads() {
 
 CampaignConfig tiny_config() {
   CampaignConfig config;
-  config.generations = 3;
-  config.population = 8;
-  config.offspring = 8;
+  config.spec.generations = 3;
+  config.spec.population = 8;
+  config.spec.offspring = 8;
   config.seed = 77;
   return config;
 }
@@ -120,7 +120,7 @@ TEST(PredictionEngine, CampaignViaEngineMatchesReferenceByteForByte) {
     CampaignConfig config = tiny_config();
     config.total_workers = combo.workers;
     config.job_concurrency = combo.jobs;
-    config.cache_policy = combo.policy;
+    config.spec.cache_policy = combo.policy;
     const CampaignScheduler scheduler(config);
 
     const std::string via_engine = canonical_reports(scheduler.run(workloads));
@@ -141,7 +141,7 @@ TEST(PredictionEngine, ConcurrentSharedCacheCampaignMatchesReferenceResults) {
   CampaignConfig config = tiny_config();
   config.total_workers = 2;
   config.job_concurrency = 2;
-  config.cache_policy = cache::CachePolicy::kShared;
+  config.spec.cache_policy = cache::CachePolicy::kShared;
   const CampaignScheduler scheduler(config);
 
   const CampaignResult via_engine = scheduler.run(workloads);

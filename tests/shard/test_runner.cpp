@@ -31,9 +31,9 @@ service::CampaignConfig small_config() {
   service::CampaignConfig config;
   config.job_concurrency = 2;
   config.total_workers = 2;
-  config.generations = 2;
-  config.population = 8;
-  config.offspring = 8;
+  config.spec.generations = 2;
+  config.spec.population = 8;
+  config.spec.offspring = 8;
   config.seed = 77;
   return config;
 }
@@ -208,17 +208,17 @@ TEST(ShardedCampaign, WritesPerShardTracesAndMergedMetrics) {
   ShardedCampaignOptions options;
   options.shards = 2;
   options.config = small_config();
-  options.config.trace_out = dir + "/essns_shard_trace.json";
-  options.config.metrics_out = dir + "/essns_shard_metrics.json";
+  options.config.exec.trace_out = dir + "/essns_shard_trace.json";
+  options.config.exec.metrics_out = dir + "/essns_shard_metrics.json";
   options.catalog_text = kCatalog;
   const ShardedCampaignResult sharded = run_sharded_campaign(options);
   EXPECT_TRUE(sharded.all_shards_clean());
   for (int k = 0; k < 2; ++k) {
-    std::ifstream trace(options.config.trace_out + ".shard" +
+    std::ifstream trace(options.config.exec.trace_out + ".shard" +
                         std::to_string(k));
     EXPECT_TRUE(trace.good()) << "missing shard " << k << " trace";
   }
-  std::ifstream metrics(options.config.metrics_out);
+  std::ifstream metrics(options.config.exec.metrics_out);
   ASSERT_TRUE(metrics.good());
   std::ostringstream text;
   text << metrics.rdbuf();
@@ -245,7 +245,7 @@ TEST(ShardedCampaign, RejectsBadOptionsBeforeForking) {
   options.shards = 0;
   EXPECT_THROW((void)run_sharded_campaign(options), InvalidArgument);
   options.shards = 2;
-  options.config.method = "essim-monitor";  // not an Optimizer
+  options.config.spec.method = "essim-monitor";  // not an Optimizer
   options.catalog_text = kCatalog;
   EXPECT_THROW((void)run_sharded_campaign(options), Error);
 }

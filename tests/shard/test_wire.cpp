@@ -253,30 +253,54 @@ TEST(WireFormat, OversizedGridDimensionsRejectedBeforeAllocation) {
   EXPECT_THROW((void)decode_job_record(in), WireError);
 }
 
-TEST(WireFormat, WorkerConfigRoundTrips) {
+/// A worker config with every field, JobSpec and ExecOptions ones included,
+/// away from its default.
+WorkerConfig non_default_worker_config() {
   WorkerConfig config;
   config.shard_index = 2;
   config.shard_count = 5;
   config.catalog_text = "sizes=32\nseeds=3\n# comment\n";
-  config.method = "ess-ns";
   config.seed = 0xFEEDFACECAFEBEEFull;
-  config.generations = 7;
-  config.fitness_threshold = 0.875;
-  config.population = 24;
-  config.offspring = 12;
-  config.novelty_k = 5;
-  config.islands = 2;
-  config.max_solution_maps = 33;
-  config.cache_policy = cache::CachePolicy::kShared;
-  config.cache_mem_bytes = 123456789;
-  config.simd_mode = simd::Mode::kScalar;
-  config.numa_mode = parallel::NumaMode::kOn;
   config.job_concurrency = 3;
   config.workers_per_job = 4;
-  config.keep_final_maps = true;
   config.collect_metrics = true;
-  config.trace_out = "/tmp/trace.json";
+  config.spec.method = "essim-de-tuned";
+  config.spec.generations = 7;
+  config.spec.fitness_threshold = 0.875;
+  config.spec.population = 24;
+  config.spec.offspring = 12;
+  config.spec.novelty_k = 5;
+  config.spec.islands = 2;
+  config.spec.max_solution_maps = 33;
+  config.spec.cache_policy = cache::CachePolicy::kShared;
+  config.spec.keep_final_maps = true;
+  config.exec.cache_mem_bytes = 123456789;
+  config.exec.simd_mode = simd::Mode::kScalar;
+  config.exec.numa_mode = parallel::NumaMode::kOn;
+  config.exec.trace_out = "/tmp/trace.json";
+  config.exec.metrics_out = "/tmp/metrics.json";
   config.debug_crash_after_jobs = 2;
+  return config;
+}
+
+TEST(WireFormat, WorkerConfigRoundTrips) {
+  const WorkerConfig config = non_default_worker_config();
+  const WorkerConfig defaults;
+  EXPECT_NE(config.spec.method, defaults.spec.method);
+  EXPECT_NE(config.spec.generations, defaults.spec.generations);
+  EXPECT_NE(config.spec.fitness_threshold, defaults.spec.fitness_threshold);
+  EXPECT_NE(config.spec.population, defaults.spec.population);
+  EXPECT_NE(config.spec.offspring, defaults.spec.offspring);
+  EXPECT_NE(config.spec.novelty_k, defaults.spec.novelty_k);
+  EXPECT_NE(config.spec.islands, defaults.spec.islands);
+  EXPECT_NE(config.spec.max_solution_maps, defaults.spec.max_solution_maps);
+  EXPECT_NE(config.spec.cache_policy, defaults.spec.cache_policy);
+  EXPECT_NE(config.spec.keep_final_maps, defaults.spec.keep_final_maps);
+  EXPECT_NE(config.exec.cache_mem_bytes, defaults.exec.cache_mem_bytes);
+  EXPECT_NE(config.exec.simd_mode, defaults.exec.simd_mode);
+  EXPECT_NE(config.exec.numa_mode, defaults.exec.numa_mode);
+  EXPECT_NE(config.exec.trace_out, defaults.exec.trace_out);
+  EXPECT_NE(config.exec.metrics_out, defaults.exec.metrics_out);
 
   const std::vector<std::uint8_t> payload = encode_worker_config(config);
   BinaryReader in(payload);
@@ -284,25 +308,36 @@ TEST(WireFormat, WorkerConfigRoundTrips) {
   EXPECT_EQ(back.shard_index, config.shard_index);
   EXPECT_EQ(back.shard_count, config.shard_count);
   EXPECT_EQ(back.catalog_text, config.catalog_text);
-  EXPECT_EQ(back.method, config.method);
   EXPECT_EQ(back.seed, config.seed);
-  EXPECT_EQ(back.generations, config.generations);
-  EXPECT_EQ(back.fitness_threshold, config.fitness_threshold);
-  EXPECT_EQ(back.population, config.population);
-  EXPECT_EQ(back.offspring, config.offspring);
-  EXPECT_EQ(back.novelty_k, config.novelty_k);
-  EXPECT_EQ(back.islands, config.islands);
-  EXPECT_EQ(back.max_solution_maps, config.max_solution_maps);
-  EXPECT_EQ(back.cache_policy, config.cache_policy);
-  EXPECT_EQ(back.cache_mem_bytes, config.cache_mem_bytes);
-  EXPECT_EQ(back.simd_mode, config.simd_mode);
-  EXPECT_EQ(back.numa_mode, config.numa_mode);
   EXPECT_EQ(back.job_concurrency, config.job_concurrency);
   EXPECT_EQ(back.workers_per_job, config.workers_per_job);
-  EXPECT_EQ(back.keep_final_maps, config.keep_final_maps);
   EXPECT_EQ(back.collect_metrics, config.collect_metrics);
-  EXPECT_EQ(back.trace_out, config.trace_out);
+  EXPECT_EQ(back.spec.method, config.spec.method);
+  EXPECT_EQ(back.spec.generations, config.spec.generations);
+  EXPECT_EQ(back.spec.fitness_threshold, config.spec.fitness_threshold);
+  EXPECT_EQ(back.spec.population, config.spec.population);
+  EXPECT_EQ(back.spec.offspring, config.spec.offspring);
+  EXPECT_EQ(back.spec.novelty_k, config.spec.novelty_k);
+  EXPECT_EQ(back.spec.islands, config.spec.islands);
+  EXPECT_EQ(back.spec.max_solution_maps, config.spec.max_solution_maps);
+  EXPECT_EQ(back.spec.cache_policy, config.spec.cache_policy);
+  EXPECT_EQ(back.spec.keep_final_maps, config.spec.keep_final_maps);
+  EXPECT_EQ(back.exec.cache_mem_bytes, config.exec.cache_mem_bytes);
+  EXPECT_EQ(back.exec.simd_mode, config.exec.simd_mode);
+  EXPECT_EQ(back.exec.numa_mode, config.exec.numa_mode);
+  EXPECT_EQ(back.exec.trace_out, config.exec.trace_out);
+  EXPECT_EQ(back.exec.metrics_out, config.exec.metrics_out);
   EXPECT_EQ(back.debug_crash_after_jobs, config.debug_crash_after_jobs);
+}
+
+TEST(WireFormat, WorkerConfigEveryTruncationRejected) {
+  const std::vector<std::uint8_t> payload =
+      encode_worker_config(non_default_worker_config());
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    BinaryReader in(payload.data(), cut);
+    EXPECT_THROW((void)decode_worker_config(in), WireError)
+        << "prefix of " << cut << "/" << payload.size() << " bytes accepted";
+  }
 }
 
 TEST(WireFormat, WorkerConfigShardIndexOutOfRangeRejected) {
@@ -315,9 +350,9 @@ TEST(WireFormat, WorkerConfigShardIndexOutOfRangeRejected) {
 }
 
 TEST(WireFormat, WorkerConfigCountsPastTheSharedCapsRejected) {
-  // A config frame's counts obey the caps of every other input surface:
-  // each decodes at its cap and is rejected one past it and at zero
-  // (decode only: no worker starts).
+  // A config frame's counts obey the bounds of every other input surface
+  // (common/limits.hpp): each decodes at its floor and cap and is rejected
+  // one past either (decode only: no worker starts).
   const auto decodes = [](const WorkerConfig& config) {
     const std::vector<std::uint8_t> payload = encode_worker_config(config);
     BinaryReader in(payload);
@@ -328,23 +363,31 @@ TEST(WireFormat, WorkerConfigCountsPastTheSharedCapsRejected) {
       return false;
     }
   };
-  const auto check = [&](auto member, std::int64_t cap, std::int64_t floor) {
+  const auto check = [&](auto&& field, std::int64_t cap, std::int64_t floor) {
     for (const std::int64_t value : {floor - 1, floor, cap, cap + 1}) {
       WorkerConfig config;
-      using Field = std::remove_reference_t<decltype(config.*member)>;
-      config.*member = static_cast<Field>(value);
+      auto& member = field(config);
+      member = static_cast<std::remove_reference_t<decltype(member)>>(value);
       EXPECT_EQ(decodes(config), value >= floor && value <= cap)
           << "cap " << cap << " value " << value;
     }
   };
-  check(&WorkerConfig::shard_count, limits::kMaxShards, 1);
-  check(&WorkerConfig::job_concurrency, limits::kMaxJobs, 1);
-  check(&WorkerConfig::workers_per_job, limits::kMaxWorkers, 1);
-  check(&WorkerConfig::generations, limits::kMaxGenerations, 1);
-  check(&WorkerConfig::population, limits::kMaxPopulation, 1);
-  check(&WorkerConfig::offspring, limits::kMaxPopulation, 1);
-  check(&WorkerConfig::novelty_k, limits::kMaxNoveltyK, 0);
-  check(&WorkerConfig::islands, limits::kMaxIslands, 1);
+  check([](WorkerConfig& c) -> auto& { return c.shard_count; },
+        limits::kMaxShards, 1);
+  check([](WorkerConfig& c) -> auto& { return c.job_concurrency; },
+        limits::kMaxJobs, 1);
+  check([](WorkerConfig& c) -> auto& { return c.workers_per_job; },
+        limits::kMaxWorkers, 1);
+  check([](WorkerConfig& c) -> auto& { return c.spec.generations; },
+        limits::kMaxGenerations, 1);
+  check([](WorkerConfig& c) -> auto& { return c.spec.population; },
+        limits::kMaxPopulation, 2);
+  check([](WorkerConfig& c) -> auto& { return c.spec.offspring; },
+        limits::kMaxPopulation, 1);
+  check([](WorkerConfig& c) -> auto& { return c.spec.novelty_k; },
+        limits::kMaxNoveltyK, 0);
+  check([](WorkerConfig& c) -> auto& { return c.spec.islands; },
+        limits::kMaxIslands, 1);
 }
 
 TEST(WireFormat, MetricsSnapshotRoundTripsSparseBuckets) {
